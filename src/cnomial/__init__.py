@@ -11,11 +11,11 @@ ground truth for verification.
 from .apparition import (
     PrimeClass,
     PrimeProfile,
+    StrongDivisibilityError,
     UndeterminedError,
     classify,
     classify_lucas_fast,
     rank_of_apparition,
-    ratio_sequence,
     valuation,
 )
 from .engine import (
@@ -35,7 +35,6 @@ from .initvec import (
     ideal_multinomial_vector,
 )
 from .oracle import (
-    StrongDivisibilityError,
     brute_generating_poly,
     cmultinomial_bigint,
     cmultinomial_valuation,
@@ -99,7 +98,6 @@ __all__ = [
     "multinomial_matrix",
     "parse_selector",
     "rank_of_apparition",
-    "ratio_sequence",
     "row_vec_mul",
     "term",
     "term_mod",

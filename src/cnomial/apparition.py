@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from . import seqcore
 from .seqcore import SequenceSpec
@@ -36,6 +37,12 @@ DEFAULT_KMAX_CAP = 16
 
 class UndeterminedError(Exception):
     """A file-backed sequence ran out of terms before the answer was decided."""
+
+
+class StrongDivisibilityError(ArithmeticError):
+    """A quotient, valuation or apparition rank came out wrong: the input
+    sequence is not a strong divisibility sequence (or its stored terms are
+    corrupt)."""
 
 
 class PrimeClass(str, Enum):
@@ -139,40 +146,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _scan_apparition(spec: SequenceSpec, m: int, *, step: int = 1,
-                     limit: int | None = None) -> int | None:
-    """First index n with n a multiple of ``step`` and m | C_n.
+def rank_of_apparition(spec: SequenceSpec, m: int) -> int | None:
+    """Smallest n with m | C_n, or None when provably no such n exists.
 
-    Unbounded mode (limit None): recurrence-backed sequences are scanned
-    with cycle detection on the state (C_n, C_{n+1}, n mod step) mod m, so
-    None means "provably no such index"; a file-backed sequence that ends
-    first raises UndeterminedError.
-
-    Bounded mode: the scan stops after index ``limit`` and returns None,
-    which only means "none at or below limit".  File-backed sequences must
-    store at least ``limit`` terms.
+    Scans C_1, C_2, ... mod m.  For recurrence-backed sequences Brent cycle
+    detection on the state (C_n, C_{n+1}) mod m proves absence; a
+    file-backed sequence that ends first raises UndeterminedError.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    stream = seqcore.residues(spec, m)
-    file_backed = isinstance(spec, seqcore.FileBackedSpec)
-    detect_cycle = limit is None and not file_backed
-    # Brent cycle detection on the autonomous state (C_n, C_{n+1}, n mod step)
-    # mod m: every state is inspected for a zero as it is visited, and by the
-    # time the state matches the exponentially-spaced checkpoint the whole
-    # orbit (pre-period plus cycle) has been covered, so a miss is a proof.
+    detect_cycle = not isinstance(spec, seqcore.FileBackedSpec)
+    # Every state is inspected for a zero as it is visited, and by the time
+    # the state matches the exponentially-spaced checkpoint the whole orbit
+    # (pre-period plus cycle) has been covered, so a miss is a proof.
     checkpoint = None
     power, span = 1, 0
     prev = None
     n = 0
-    for u in stream:
+    for u in seqcore.residues(spec, m):
         n += 1
-        if n % step == 0 and u == 0:
+        if u == 0:
             return n
-        if limit is not None and n >= limit:
-            return None
         if detect_cycle and prev is not None:
-            state = (prev, u, n % step)
+            state = (prev, u)
             if state == checkpoint:
                 return None
             span += 1
@@ -181,45 +177,46 @@ def _scan_apparition(spec: SequenceSpec, m: int, *, step: int = 1,
                 power *= 2
                 span = 0
         prev = u
-    # Stream ended: file-backed sequence exhausted.
-    if limit is not None:
-        raise seqcore.InsufficientTermsError(
-            f"insufficient terms: scan to {limit} needs more than "
-            f"{len(spec.terms)} stored terms"
-        )
     raise UndeterminedError(
-        f"undetermined within available terms: no multiple of {step} with "
-        f"{m} | C_n among {len(spec.terms)} stored terms"
+        f"undetermined within available terms: {m} divides none of the "
+        f"{len(spec.terms)} stored terms"
     )
 
 
-def rank_of_apparition(spec: SequenceSpec, m: int) -> int | None:
-    """Smallest n with m | C_n, or None when provably no such n exists."""
-    return _scan_apparition(spec, m)
+def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
+    """Yield alpha(p), alpha(p^2), ... for as long as the caller pulls.
 
-
-def rank_within(spec: SequenceSpec, m: int, limit: int, *, step: int = 1) -> int | None:
-    """Like rank_of_apparition but only searches indices <= limit."""
-    if limit < 1:
-        return None
-    return _scan_apparition(spec, m, step=step, limit=limit)
-
-
-def alpha_chain(spec: SequenceSpec, p: int, limit: int) -> list[int]:
-    """All ranks alpha(p), alpha(p^2), ... that are <= limit.
-
-    Each level scans only multiples of the previous rank, which strong
-    divisibility guarantees is enough.
+    Yields nothing when p divides no term.  Level 1 is the scan above.  At
+    level k >= 2 with a = alpha(p^(k-1)), strong divisibility makes
+    alpha(p^k) a multiple of a.  For Lucas sequences and the naturals the
+    law of repetition (p^(k-1) | C_a implies p^k | C_(p*a)) pins it to a
+    or p*a, so two probes decide the level; stored terms are probed at
+    every stored multiple of a, and running out raises UndeterminedError.
     """
-    chain: list[int] = []
-    pk, step = p, 1
+    a = rank_of_apparition(spec, p)
+    if a is None:
+        return
+    yield a
+    file_backed = isinstance(spec, seqcore.FileBackedSpec)
+    pk = p
     while True:
-        a = rank_within(spec, pk, limit, step=step)
-        if a is None:
-            return chain
-        chain.append(a)
-        step = a
         pk *= p
+        probes = range(a, len(spec.terms) + 1, a) if file_backed else (a, p * a)
+        for n in probes:
+            if seqcore.term_mod(spec, n, pk) == 0:
+                a = n
+                break
+        else:
+            if file_backed:
+                raise UndeterminedError(
+                    f"undetermined within available terms: no multiple of {a} "
+                    f"with {pk} | C_n among {len(spec.terms)} stored terms"
+                )
+            raise StrongDivisibilityError(
+                f"strong divisibility violated: {pk} divides neither C_{a} "
+                f"nor C_{p * a}"
+            )
+        yield a
 
 
 def sequence_valuation(spec: SequenceSpec, n: int, p: int) -> int:
@@ -230,29 +227,6 @@ def sequence_valuation(spec: SequenceSpec, n: int, p: int) -> int:
         e += 1
         pk *= p
     return e
-
-
-def ratio_sequence(spec: SequenceSpec, p: int, kmax: int) -> list[int]:
-    """a_1 = alpha(p) and a_k = alpha(p^k)/alpha(p^{k-1}) for k <= kmax.
-
-    Raises UndeterminedError if a file-backed sequence runs out before all
-    kmax ratios are known, and ValueError if p has no apparition at all.
-    """
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    alpha = rank_of_apparition(spec, p)
-    if alpha is None:
-        raise ValueError(f"p={p} divides no term; ratio sequence undefined")
-    ratios = [alpha]
-    prev, pk = alpha, p
-    for _ in range(kmax - 1):
-        pk *= p
-        nxt = _scan_apparition(spec, pk, step=prev)
-        if nxt is None:
-            raise ValueError(f"alpha({pk}) provably does not exist")
-        ratios.append(nxt // prev)
-        prev = nxt
-    return ratios
 
 
 def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
@@ -266,13 +240,18 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
     DEFAULT_KMAX_CAP); an explicit kmax fixes the number of ratios computed
     instead.
 
+    Finding alpha(p) scans at most alpha(p) terms; each further level then
+    probes O(1) indices (two for Lucas sequences and the naturals), so the
+    cost no longer grows with alpha(p^k).
+
     A file-backed sequence that runs out of terms mid-chain keeps whatever
     evidence was gathered; if not even one stabilized ratio was confirmed
     the classification is refused with UndeterminedError.
     """
     if kmax is not None and kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
-    alpha = rank_of_apparition(spec, p)
+    levels = _apparition_chain(spec, p)
+    alpha = next(levels, None)
     if alpha is None:
         return PrimeProfile(p=p, prime_class=PrimeClass.NO_APPARITION,
                             alpha_powers=(), s=None, ratios=(), evidence_kmax=0)
@@ -280,34 +259,22 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
     ratios = [alpha]
     s_cand = 1
     exhausted = False
-    proven_absent = False
-    k = 2
     cap = kmax if kmax is not None else DEFAULT_KMAX_CAP
-    while k <= cap:
+    while len(chain) < cap:
         if kmax is None and len(ratios) - s_cand >= tail:
             break
         try:
-            nxt = _scan_apparition(spec, p ** k, step=chain[-1])
+            nxt = next(levels)
         except UndeterminedError:
             exhausted = True
-            break
-        if nxt is None:
-            proven_absent = True
             break
         ratios.append(nxt // chain[-1])
         chain.append(nxt)
         if ratios[-1] != p:
-            s_cand = k
-        k += 1
+            s_cand = len(ratios)
 
     evidence = len(ratios)
     tail_len = evidence - s_cand
-    if proven_absent:
-        # Some alpha(p^k) provably never occurs: the class definitions need
-        # every power to appear, so the stabilization pattern cannot hold.
-        return PrimeProfile(p=p, prime_class=PrimeClass.UNACCEPTABLE,
-                            alpha_powers=tuple(chain), s=None,
-                            ratios=tuple(ratios), evidence_kmax=evidence)
     if tail_len == 0:
         if exhausted:
             raise UndeterminedError(

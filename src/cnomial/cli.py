@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from math import comb
 
 from . import apparition, engine, initvec, oracle, seqcore
-from .apparition import PrimeProfile, UndeterminedError
+from .apparition import UndeterminedError
 
-PROFILE_CACHE_ENV = "CNOMIAL_PROFILE_CACHE"
 DEFAULT_ORACLE_CUTOFF = 20000
 
 
@@ -43,8 +41,6 @@ def _add_common(parser, *, seq=True, k=True):
         parser.add_argument("-k", type=int, default=2,
                             help="number of multinomial parts (default 2)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--profile-cache", default=os.environ.get(PROFILE_CACHE_ENV),
-                        help=f"JSON file persisting classifications (default ${PROFILE_CACHE_ENV})")
 
 
 def build_parser() -> _Parser:
@@ -127,28 +123,6 @@ def _check_numbers(args):
         raise _UsageError(f"n must be >= 0, got {args.n}")
 
 
-def _load_cache(path: str) -> dict:
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    return {}
-
-
-def _profile_for(spec, p: int, cache_path: str | None, kmax: int | None = None) -> PrimeProfile:
-    key = f"{spec.selector}|p={p}"
-    if kmax is not None:
-        key += f"|kmax={kmax}"
-    cache = _load_cache(cache_path) if cache_path else {}
-    if key in cache:
-        return PrimeProfile.from_json_dict(cache[key])
-    profile = apparition.classify(spec, p, kmax=kmax)
-    if cache_path:
-        cache[key] = profile.to_json_dict()
-        with open(cache_path, "w", encoding="utf-8") as f:
-            json.dump(cache, f, indent=1, sort_keys=True)
-    return profile
-
-
 def _poly_json(poly) -> str:
     return json.dumps(poly.to_json_dict(), separators=(",", ":"))
 
@@ -156,7 +130,7 @@ def _poly_json(poly) -> str:
 def _cmd_eval(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
-    profile = _profile_for(spec, args.p, args.profile_cache)
+    profile = apparition.classify(spec, args.p)
     result = engine.eval_generating_poly(spec, profile, args.k, args.n,
                                          force_path=args.modulus_path)
     if args.format == "json":
@@ -183,7 +157,7 @@ def _cmd_verify(args, out) -> int:
     if args.n_max < 0:
         raise _UsageError(f"--n-max must be >= 0, got {args.n_max}")
     spec = _parse_spec(args)
-    profile = _profile_for(spec, args.p, args.profile_cache, kmax=args.kmax)
+    profile = apparition.classify(spec, args.p, kmax=args.kmax)
     table = oracle.corial_valuation_table(spec, args.p, args.n_max)
     for n in range(args.n_max + 1):
         got = engine.eval_generating_poly(spec, profile, args.k, n,
@@ -201,7 +175,7 @@ def _cmd_classify(args, out) -> int:
     if args.kmax is not None and args.kmax < 2:
         raise _UsageError(f"--kmax must be >= 2, got {args.kmax}")
     spec = _parse_spec(args)
-    profile = _profile_for(spec, args.p, args.profile_cache, kmax=args.kmax)
+    profile = apparition.classify(spec, args.p, kmax=args.kmax)
     if args.format == "json":
         print(json.dumps(profile.to_json_dict(), separators=(",", ":")), file=out)
     else:
@@ -214,7 +188,7 @@ def _cmd_classify(args, out) -> int:
 def _cmd_vectors(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
-    profile = _profile_for(spec, args.p, args.profile_cache)
+    profile = apparition.classify(spec, args.p)
     route = args.modulus_path or "auto"
     probe = initvec.vector_for(profile, args.k, 0, route)
     modulus = probe.modulus
@@ -266,7 +240,7 @@ def _cmd_matrices(args, out) -> int:
 def _cmd_export(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
-    profile = _profile_for(spec, args.p, args.profile_cache)
+    profile = apparition.classify(spec, args.p)
     rep = engine.linear_representation(profile, args.k, force_path=args.modulus_path)
     text = json.dumps(rep.to_json_dict(), indent=1, sort_keys=True)
     if args.out:
@@ -291,7 +265,7 @@ def _time_matrix(spec, profile, k, n, repeats) -> float:
 def _cmd_bench(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
-    profile = _profile_for(spec, args.p, args.profile_cache)
+    profile = apparition.classify(spec, args.p)
     try:
         grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
     except ValueError:

@@ -14,14 +14,9 @@ import random
 import threading
 
 from . import apparition, seqcore
-from .apparition import alpha_chain
+from .apparition import StrongDivisibilityError
 from .polyarith import PolyVector, ValPoly
 from .seqcore import SequenceSpec
-
-
-class StrongDivisibilityError(ArithmeticError):
-    """A quotient or valuation came out wrong: the input sequence is not a
-    strong divisibility sequence (or its stored terms are corrupt)."""
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -48,6 +43,24 @@ def compositions(total: int, k: int):
     for last in range(total + 1):
         for rest in compositions(total - last, k - 1):
             yield rest + (last,)
+
+
+def alpha_chain(spec: SequenceSpec, p: int, limit: int) -> list[int]:
+    """All ranks alpha(p), alpha(p^2), ... that are <= limit.
+
+    Each level tries every multiple of the previous rank in turn, which
+    strong divisibility guarantees is enough; unlike apparition.classify
+    this assumes nothing about how far apart successive ranks are.
+    """
+    chain: list[int] = []
+    pk, a = p, 1
+    while True:
+        a = next((n for n in range(a, limit + 1, a)
+                  if seqcore.term_mod(spec, n, pk) == 0), None)
+        if a is None:
+            return chain
+        chain.append(a)
+        pk *= p
 
 
 def corial_valuation(spec: SequenceSpec, p: int, n: int) -> int:

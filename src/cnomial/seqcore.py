@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Union
 
 
@@ -78,6 +79,36 @@ class FileBackedSpec:
 SequenceSpec = Union[LucasSpec, NaturalsSpec, FileBackedSpec]
 
 
+def _lucas_jump(spec: LucasSpec, n: int, m: int | None) -> int:
+    """U_n by binary powering of the companion matrix [[P, -Q], [1, 0]],
+    whose k-th power is [[U_{k+1}, -Q*U_k], [U_k, -Q*U_{k-1}]]; only the
+    pair (U_k, U_{k+1}) is kept.  Doubling uses
+    U_{2k} = U_k*(2*U_{k+1} - P*U_k) and U_{2k+1} = U_{k+1}^2 - Q*U_k^2,
+    which need no division, so any modulus m works (None keeps exact terms).
+    """
+    P, Q = spec.P, spec.Q
+    u, v = 0, 1  # (U_0, U_1)
+    for bit in bin(n)[2:]:
+        u, v = u * (2 * v - P * u), v * v - Q * u * u
+        if bit == "1":
+            u, v = v, P * v - Q * u
+        if m is not None:
+            u, v = u % m, v % m
+    return u
+
+
+def _lucas_stream(spec: LucasSpec, m: int | None) -> Iterator[int]:
+    """U_1, U_2, ... one recurrence step at a time, reduced mod m unless m
+    is None."""
+    P, Q = spec.P, spec.Q
+    u, v = 1, P
+    while True:
+        yield u
+        u, v = v, P * v - Q * u
+        if m is not None:
+            u, v = u % m, v % m
+
+
 def term(spec: SequenceSpec, n: int) -> int:
     """The exact n-th term (1-indexed, may be negative)."""
     if n < 1:
@@ -90,17 +121,16 @@ def term(spec: SequenceSpec, n: int) -> int:
                 f"insufficient terms: need C_{n}, {spec.name} stores {len(spec.terms)}"
             )
         return spec.terms[n - 1]
-    # Lucas: plain big-integer recurrence, no closed forms.
-    u, v = 1, spec.P
-    if n == 1:
-        return u
-    for _ in range(n - 2):
-        u, v = v, spec.P * v - spec.Q * u
-    return v
+    return _lucas_jump(spec, n, None)
 
 
 def term_mod(spec: SequenceSpec, n: int, m: int) -> int:
-    """term(spec, n) reduced mod m, as the nonnegative representative."""
+    """term(spec, n) reduced mod m, as the nonnegative representative.
+
+    Lucas sequences take O(log n) multiplications of residues mod m (a
+    2x2 matrix power that divides by nothing, so even m is fine); the
+    naturals and stored terms are indexed directly.
+    """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if n < 1:
@@ -109,12 +139,7 @@ def term_mod(spec: SequenceSpec, n: int, m: int) -> int:
         return n % m
     if isinstance(spec, FileBackedSpec):
         return term(spec, n) % m
-    u, v = 1 % m, spec.P % m
-    if n == 1:
-        return u
-    for _ in range(n - 2):
-        u, v = v, (spec.P * v - spec.Q * u) % m
-    return v
+    return _lucas_jump(spec, n, m)
 
 
 def residues(spec: SequenceSpec, m: int) -> Iterator[int]:
@@ -131,10 +156,7 @@ def residues(spec: SequenceSpec, m: int) -> Iterator[int]:
         while True:
             yield n % m
             n += 1
-    u, v = 1 % m, spec.P % m
-    while True:
-        yield u
-        u, v = v, (spec.P * v - spec.Q * u) % m
+    yield from _lucas_stream(spec, m)
 
 
 def terms_prefix(spec: SequenceSpec, count: int) -> list[int]:
@@ -147,12 +169,7 @@ def terms_prefix(spec: SequenceSpec, count: int) -> list[int]:
         return list(spec.terms[:count])
     if isinstance(spec, NaturalsSpec):
         return list(range(1, count + 1))
-    out = []
-    u, v = 1, spec.P
-    for _ in range(count):
-        out.append(u)
-        u, v = v, spec.P * v - spec.Q * u
-    return out
+    return list(islice(_lucas_stream(spec, None), count))
 
 
 def validate_strong_divisibility(spec: SequenceSpec, bound: int) -> list[tuple[int, int]]:

@@ -49,11 +49,14 @@ def eds150():
 
 @pytest.fixture(scope="session")
 def profile_of():
-    """classify() with per-session memoization; classification is pure."""
+    """classify() with per-session memoization; classification is pure.
+
+    Keyed on the frozen spec itself: file-backed specs with equal names but
+    different terms must not share an entry."""
     cache = {}
 
     def get(spec, p, **kwargs):
-        key = (spec.selector, p, tuple(sorted(kwargs.items())))
+        key = (spec, p, tuple(sorted(kwargs.items())))
         if key not in cache:
             cache[key] = apparition.classify(spec, p, **kwargs)
         return cache[key]

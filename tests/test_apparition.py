@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cnomial import apparition, seqcore
+from cnomial import oracle, seqcore
 from cnomial.apparition import (
     PrimeClass,
     PrimeProfile,
@@ -9,7 +11,6 @@ from cnomial.apparition import (
     classify_lucas_fast,
     is_prime,
     rank_of_apparition,
-    ratio_sequence,
     sequence_valuation,
     valuation,
 )
@@ -51,16 +52,19 @@ def test_rank_of_apparition_undetermined():
         rank_of_apparition(spec, 2)
 
 
-def test_ratio_sequence_examples(lucas52, fib, naturals):
-    assert ratio_sequence(lucas52, 7, 5) == [8, 1, 7, 7, 7]
-    assert ratio_sequence(fib, 2, 6) == [3, 2, 1, 2, 2, 2]
-    assert ratio_sequence(naturals, 3, 4) == [3, 3, 3, 3]
+def test_classify_ratios_with_kmax(lucas52, fib, naturals, eds14):
+    assert classify(lucas52, 7, kmax=5).ratios == (8, 1, 7, 7, 7)
+    assert classify(fib, 2, kmax=6).ratios == (3, 2, 1, 2, 2, 2)
+    assert classify(naturals, 3, kmax=4).ratios == (3, 3, 3, 3)
+    assert classify(eds14, 2, kmax=2).ratios == (5, 2)
 
 
-def test_ratio_sequence_undetermined(eds14):
-    assert ratio_sequence(eds14, 2, 2) == [5, 2]
-    with pytest.raises(UndeterminedError):
-        ratio_sequence(eds14, 2, 3)  # alpha(8) needs index 20, file has 14
+def test_classify_kmax_beyond_stored_terms(eds14):
+    # alpha(8) needs index 20 and the file has 14: the profile keeps the two
+    # ratios the terms support instead of the requested three.
+    prof = classify(eds14, 2, kmax=3)
+    assert prof.ratios == (5, 2)
+    assert prof.evidence_kmax == 2
 
 
 def test_classify_lucas52(lucas52, profile_of):
@@ -202,6 +206,80 @@ def test_profile_json_round_trip(fib, profile_of):
 
 
 def test_alpha_chain_bounded(fib, eds150):
-    assert apparition.alpha_chain(fib, 2, 50) == [3, 6, 6, 12, 24, 48]
-    assert apparition.alpha_chain(eds150, 2, 120) == [5, 10, 20, 40, 80]
-    assert apparition.alpha_chain(NaturalsSpec(), 3, 100) == [3, 9, 27, 81]
+    assert oracle.alpha_chain(fib, 2, 50) == [3, 6, 6, 12, 24, 48]
+    assert oracle.alpha_chain(eds150, 2, 120) == [5, 10, 20, 40, 80]
+    assert oracle.alpha_chain(NaturalsSpec(), 3, 100) == [3, 9, 27, 81]
+
+
+# The chain walker behind classify decides each level past the first from a
+# couple of probes.  These tests hold it against rank_of_apparition's plain
+# scan, level by level, wherever the scan is cheap enough to run.
+
+SCAN_BOUND = 10_000
+PRIMES_TO_200 = [p for p in range(2, 201) if is_prime(p)]
+
+
+def assert_levels_match_scan(spec, p, prof):
+    level = 1
+    for j, ratio in enumerate(prof.ratios, start=1):
+        level *= ratio
+        if level > SCAN_BOUND:
+            break
+        assert rank_of_apparition(spec, p**j) == level, (spec.selector, p, j)
+
+
+def _valid_lucas(params):
+    try:
+        LucasSpec(*params)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(_valid_lucas),
+       st.sampled_from(PRIMES_TO_200), st.sampled_from([None, 4]))
+def test_chain_walker_matches_scan_lucas(params, p, kmax):
+    spec = LucasSpec(*params)
+    prof = classify(spec, p, kmax=kmax)
+    assert prof.prime_class is classify_lucas_fast(*params, p)
+    assert_levels_match_scan(spec, p, prof)
+
+
+@pytest.mark.parametrize("name, p, kmax", [
+    ("naturals", 2, None), ("naturals", 3, None), ("naturals", 5, 6), ("naturals", 7, None),
+    ("eds150", 2, None), ("eds150", 3, None), ("eds150", 5, None), ("eds150", 7, None),
+    ("acceptable_chain", 2, None), ("unacceptable_chain", 2, 5),
+])
+def test_chain_walker_matches_scan_grid(name, p, kmax, request, make_chain_spec):
+    if name == "acceptable_chain":
+        spec = make_chain_spec((1, 2, 6, 12, 24, 48, 96), 96)
+    elif name == "unacceptable_chain":
+        spec = make_chain_spec((1, 2, 6, 18, 54), 60)
+    else:
+        spec = request.getfixturevalue(name)
+    assert_levels_match_scan(spec, p, classify(spec, p, kmax=kmax))
+
+
+def test_classify_cost_in_probes(fib, monkeypatch):
+    # Counted rather than timed: one scan up to alpha(p) <= p + 1, then at
+    # most two O(log n) jumps per further chain level.
+    p = 10007
+    pulled, jumps = [0], [0]
+    residues, term_mod = seqcore.residues, seqcore.term_mod
+
+    def counted_residues(spec, m):
+        for u in residues(spec, m):
+            pulled[0] += 1
+            yield u
+
+    def counted_term_mod(spec, n, m):
+        jumps[0] += 1
+        return term_mod(spec, n, m)
+
+    monkeypatch.setattr(seqcore, "residues", counted_residues)
+    monkeypatch.setattr(seqcore, "term_mod", counted_term_mod)
+    prof = classify(fib, p)
+    assert prof.prime_class is PrimeClass.IDEAL
+    assert pulled[0] <= p + 1
+    assert jumps[0] <= 2 * (len(prof.ratios) - 1)

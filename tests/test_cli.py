@@ -7,7 +7,7 @@ from cnomial.apparition import classify
 from cnomial.polyarith import ValPoly
 from cnomial.seqcore import parse_selector
 
-from conftest import EDS14_PATH
+from conftest import EDS14_PATH, EDS150_PATH
 
 
 def run_cli(*argv):
@@ -196,6 +196,8 @@ def test_usage_errors():
     assert run_cli("eval", "--seq", "fibonacci", "-p", "2", "-k", "1", "-n", "3")[0] == 1
     assert run_cli("eval", "--seq", "file:/no/such/file", "-p", "2", "-n", "3")[0] == 1
     assert run_cli("nonsense")[0] == 1
+    assert run_cli("classify", "--seq", "fibonacci", "-p", "2",
+                   "--profile-cache", "profiles.json")[0] == 1
     assert run_cli("--help")[0] == 0
 
 
@@ -206,24 +208,20 @@ def test_insufficient_terms_is_reported(tmp_path):
     assert code == 1
 
 
-def test_profile_cache(tmp_path, monkeypatch):
-    cache = tmp_path / "profiles.json"
-    code, first = run_cli("classify", "--seq", "fibonacci", "-p", "2",
-                          "--profile-cache", str(cache))
-    assert code == 0
-    stored = json.loads(cache.read_text())
-    assert "lucas:1,-1|p=2" in stored  # selectors are canonicalized
-
-    # Flip a cached field: the second run must read the cache, not recompute.
-    stored["lucas:1,-1|p=2"]["evidence_kmax"] = 99
-    cache.write_text(json.dumps(stored))
-    code, second = run_cli("classify", "--seq", "fibonacci", "-p", "2",
-                           "--profile-cache", str(cache))
-    assert code == 0 and "evidence_kmax=99" in second
-
-    # The environment variable supplies the default path.
-    env_cache = tmp_path / "env_profiles.json"
-    monkeypatch.setenv(cli.PROFILE_CACHE_ENV, str(env_cache))
-    code, _ = run_cli("classify", "--seq", "naturals", "-p", "5")
-    assert code == 0
-    assert "naturals|p=5" in json.loads(env_cache.read_text())
+def test_same_basename_files_get_their_own_answers(tmp_path, monkeypatch):
+    # Two different sequences in files with one basename, with the profile
+    # cache variable of earlier versions set: the second answer must come
+    # from the second file's own terms.
+    monkeypatch.setenv("CNOMIAL_PROFILE_CACHE", str(tmp_path / "profiles.json"))
+    eds_path = tmp_path / "eds" / "seq.txt"
+    nat_path = tmp_path / "nat" / "seq.txt"
+    eds_path.parent.mkdir()
+    nat_path.parent.mkdir()
+    eds_path.write_text(EDS150_PATH.read_text())
+    nat_path.write_text("".join(f"{n}\n" for n in range(1, 151)))
+    code, out = run_cli("eval", "--seq", f"file:{eds_path}", "-p", "2", "-n", "12")
+    assert (code, out) == (0, "6 + 3*x + 4*x^2\n")
+    code, out = run_cli("eval", "--seq", f"file:{nat_path}", "-p", "2", "-n", "12")
+    want = "4 + 2*x + 5*x^2 + 2*x^3\n"
+    assert (code, out) == (0, want)
+    assert run_cli("oracle", "--seq", f"file:{nat_path}", "-p", "2", "-n", "12") == (0, want)
