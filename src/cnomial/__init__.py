@@ -21,6 +21,7 @@ from .apparition import (
 from .engine import (
     EvalPath,
     LinearRepresentation,
+    NormalizationError,
     QueryResult,
     base_digits,
     decompose,
@@ -66,6 +67,7 @@ __all__ = [
     "LinearRepresentation",
     "LucasSpec",
     "NaturalsSpec",
+    "NormalizationError",
     "PolyMatrix",
     "PolyVector",
     "PrimeClass",

@@ -183,17 +183,61 @@ def rank_of_apparition(spec: SequenceSpec, m: int) -> int | None:
     )
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    factors = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def _lucas_rank_of_prime(spec: seqcore.LucasSpec, p: int) -> int:
+    """alpha(p) for a Lucas sequence and an odd prime p not dividing Q,
+    without a scan.
+
+    With D = P^2 - 4Q, p divides U_n for n = p - (D/p), or n = p when
+    p | D (Lucas 1878), so alpha(p) is the smallest divisor of n whose term
+    p divides.  Strong divisibility makes those divisors exactly the
+    multiples of alpha(p), so it is found by dividing n by each prime
+    factor q for as long as p still divides U_(n/q): after trial division
+    of n, one O(log n) jump per prime factor of n, counted with
+    multiplicity.
+    """
+    legendre = pow(spec.P * spec.P - 4 * spec.Q, (p - 1) // 2, p)
+    n = p if legendre == 0 else p - 1 if legendre == 1 else p + 1
+    if seqcore._lucas_jump(spec, n, p) != 0:
+        raise StrongDivisibilityError(f"{p} does not divide U_{n} of {spec.selector}")
+    a = n
+    for q in _prime_factors(n):
+        while a % q == 0 and seqcore._lucas_jump(spec, a // q, p) == 0:
+            a //= q
+    return a
+
+
 def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
     """Yield alpha(p), alpha(p^2), ... for as long as the caller pulls.
 
-    Yields nothing when p divides no term.  Level 1 is the scan above.  At
-    level k >= 2 with a = alpha(p^(k-1)), strong divisibility makes
-    alpha(p^k) a multiple of a.  For Lucas sequences and the naturals the
+    Yields nothing when p divides no term.  Level 1 is the divisor check
+    above for Lucas sequences at odd primes not dividing Q, and the scan
+    above otherwise (p = 2, p | Q where absence must be proved, the
+    naturals and stored terms).  At level k >= 2 with a = alpha(p^(k-1)),
+    strong divisibility makes alpha(p^k) a multiple of a.  For Lucas sequences and the naturals the
     law of repetition (p^(k-1) | C_a implies p^k | C_(p*a)) pins it to a
     or p*a, so two probes decide the level; stored terms are probed at
     every stored multiple of a, and running out raises UndeterminedError.
     """
-    a = rank_of_apparition(spec, p)
+    if (isinstance(spec, seqcore.LucasSpec) and p != 2 and spec.Q % p != 0
+            and is_prime(p)):
+        a = _lucas_rank_of_prime(spec, p)
+    else:
+        a = rank_of_apparition(spec, p)
     if a is None:
         return
     yield a
@@ -238,11 +282,16 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
     equals p.  With the default kmax the chain is extended until ``tail``
     consecutive ratios equal to p confirm s (hard-capped at
     DEFAULT_KMAX_CAP); an explicit kmax fixes the number of ratios computed
-    instead.
+    instead.  Either limit is passed, for Lucas sequences and the naturals
+    only, while the last computed ratio still differs from p: those have no
+    unacceptable primes, and a short chain is missing evidence, not showing
+    a failure.
 
-    Finding alpha(p) scans at most alpha(p) terms; each further level then
-    probes O(1) indices (two for Lucas sequences and the naturals), so the
-    cost no longer grows with alpha(p^k).
+    Finding alpha(p) takes O(sqrt(p)) trial divisions and a few jumps for
+    Lucas sequences at odd primes not dividing Q, and scans at most
+    alpha(p) terms otherwise; each further level then probes O(1) indices
+    (two for Lucas sequences and the naturals), so the cost no longer grows
+    with alpha(p^k).
 
     A file-backed sequence that runs out of terms mid-chain keeps whatever
     evidence was gathered; if not even one stabilized ratio was confirmed
@@ -260,7 +309,12 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
     s_cand = 1
     exhausted = False
     cap = kmax if kmax is not None else DEFAULT_KMAX_CAP
-    while len(chain) < cap:
+    # Every level of a Lucas sequence or the naturals is computable, and by
+    # the law of repetition their ratios reach p, so a chain still ending in
+    # a deviation at the cap is extended instead of being called
+    # unacceptable.
+    computable = not isinstance(spec, seqcore.FileBackedSpec)
+    while len(chain) < cap or (computable and len(ratios) == s_cand):
         if kmax is None and len(ratios) - s_cand >= tail:
             break
         try:

@@ -317,6 +317,9 @@ def run(argv: list[str], stdout=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except engine.NormalizationError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except UndeterminedError as e:
         print(f"undetermined: {e}", file=sys.stderr)
         return 3

@@ -6,7 +6,11 @@ row_vector(r) * M(n_0) * M(n_1) * ... * M(n_len) * e^T, where e^T is the
 first standard basis column.  The product is accumulated right to left as
 matrix-vector multiplications, so the work is k^2 polynomial products per
 base-p digit of n: logarithmic in N where direct enumeration is
-polynomial.
+polynomial.  Every matrix entry is a monomial c*x^row, so the loop keeps
+each column entry packed into one integer (one fixed-width slot per
+exponent) and does k^2 integer scalings and k shifts per digit; the
+exported ``LinearRepresentation`` evaluates with generic polynomial
+arithmetic instead.
 
 Primes with no usable matrix formula still get an answer: if p divides no
 term every valuation is 0 and the polynomial is the constant
@@ -24,7 +28,12 @@ from . import initvec, oracle
 from .apparition import PrimeClass, PrimeProfile
 from .polyarith import PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul
 from .seqcore import SequenceSpec
-from .transfer import digit_matrices
+from .transfer import digit_counts, digit_matrices
+
+
+class NormalizationError(ArithmeticError):
+    """An answer's coefficients do not sum to C(N+k-1, k-1), the number of
+    k-part compositions of N: the evaluation is wrong."""
 
 
 class EvalPath(str, Enum):
@@ -77,12 +86,47 @@ def unit_column(k: int) -> PolyVector:
 
 
 def _matrix_product_apply(p: int, k: int, digits: list[int]) -> PolyVector:
-    # M(d_0) * ... * M(d_last) * e^T, accumulated from the right.
-    matrices = digit_matrices(p, k)
-    v = unit_column(k)
-    for d in reversed(digits):
-        v = mat_vec_mul(matrices[d], v)
-    return v
+    # M(d_0) * ... * M(d_last) * e^T, accumulated from the right.  Entry
+    # (row, col) of M(d) is c*x^row, so a column entry is packed into one
+    # integer with the coefficient of x^i in bits [i*width, (i+1)*width)
+    # (Kronecker substitution): scaling by c is one integer product and
+    # x^row is one shift.
+    steps = [digit_counts(p, k, d) for d in reversed(digits)]
+    # The same recurrence at x = 1 gives each entry's coefficient sum.  No
+    # coefficient is negative, so none exceeds the largest sum seen, and
+    # slots that wide cannot overflow into each other.
+    vec = [1] + [0] * (k - 1)
+    top = 1
+    for rows in steps:
+        vec = [sum(c * m for c, m in zip(row, vec)) for row in rows]
+        top = max(top, *vec)
+    width = -(-top.bit_length() // 8) * 8
+    shifts = [row * width for row in range(k)]
+    vec = [1] + [0] * (k - 1)
+    for rows in steps:
+        vec = [sum(c * v for c, v in zip(row, vec) if c) << shift
+               for row, shift in zip(rows, shifts)]
+    return PolyVector.column(*(_unpack(v, width) for v in vec))
+
+
+def _unpack(packed: int, width: int) -> ValPoly:
+    size = width // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    return ValPoly({i: int.from_bytes(raw[j:j + size], "little")
+                    for i, j in enumerate(range(0, len(raw), size))})
+
+
+def _route(profile: PrimeProfile, force_path: str | None) -> tuple[str, int]:
+    """The matrix route for an ideal or acceptable prime, and its modulus."""
+    route = force_path if force_path is not None else (
+        initvec.IDEAL_PATH if profile.prime_class is PrimeClass.IDEAL
+        else initvec.ACCEPTABLE_PATH
+    )
+    if route == initvec.IDEAL_PATH:
+        return route, profile.alpha
+    if route == initvec.ACCEPTABLE_PATH:
+        return route, profile.stable_modulus
+    raise ValueError(f"unknown path {route!r}")
 
 
 def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int, n: int,
@@ -112,15 +156,7 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int, n: i
         poly = oracle.brute_generating_poly(spec, profile.p, k, n)
         result = QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ()))
     else:
-        route = force_path if force_path is not None else (
-            initvec.IDEAL_PATH if cls is PrimeClass.IDEAL else initvec.ACCEPTABLE_PATH
-        )
-        if route == initvec.IDEAL_PATH:
-            modulus = profile.alpha
-        elif route == initvec.ACCEPTABLE_PATH:
-            modulus = profile.stable_modulus
-        else:
-            raise ValueError(f"unknown path {route!r}")
+        route, modulus = _route(profile, force_path)
         quot, r = decompose(n, modulus)
         u = initvec.vector_for(profile, k, r, route)
         digits = base_digits(quot, profile.p)
@@ -131,7 +167,7 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int, n: i
 
     total = result.polynomial.eval_at_one()
     if total != expected_total:
-        raise AssertionError(
+        raise NormalizationError(
             f"normalization broken: coefficients sum to {total}, "
             f"expected C({n}+{k}-1, {k}-1) = {expected_total}"
         )
@@ -184,16 +220,7 @@ def linear_representation(profile: PrimeProfile, k: int,
         raise ValueError(
             f"p={profile.p} is {profile.prime_class.value}; no linear representation exists"
         )
-    route = force_path if force_path is not None else (
-        initvec.IDEAL_PATH if profile.prime_class is PrimeClass.IDEAL
-        else initvec.ACCEPTABLE_PATH
-    )
-    if route == initvec.IDEAL_PATH:
-        modulus = profile.alpha
-    elif route == initvec.ACCEPTABLE_PATH:
-        modulus = profile.stable_modulus
-    else:
-        raise ValueError(f"unknown path {route!r}")
+    route, modulus = _route(profile, force_path)
     vectors = {r: initvec.vector_for(profile, k, r, route).vector
                for r in range(modulus)}
     matrices = {d: m for d, m in enumerate(digit_matrices(profile.p, k))}

@@ -4,7 +4,9 @@ The k x k matrix for a base-p digit d advances a column of k tuple-counting
 polynomials across one digit of the index.  Its entries are universal: they
 count bounded digit tuples and know nothing about any particular sequence.
 Entry (row, col) is x^row * N(d - row + col*p) where N(t) is the number of
-k-tuples of base-p digits summing to t.
+k-tuples of base-p digits summing to t.  ``digit_counts`` holds the integers
+N(d - row + col*p); the polynomial matrices are built from it, and the
+evaluation loop uses it directly.
 """
 
 from __future__ import annotations
@@ -45,6 +47,24 @@ def binomial_matrix(p: int, d: int) -> PolyMatrix:
 
 
 @lru_cache(maxsize=None)
+def digit_counts(p: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The integers c[row][col] = N(d - row + col*p) of the digit-d matrix,
+    whose entry (row, col) is the monomial c[row][col] * x^row.
+
+    Cached per digit, so a caller that needs only the digits of one index
+    (or one digit) never builds all p of them.
+    """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if not 0 <= d < p:
+        raise ValueError(f"digit {d} out of range for base {p}")
+    return tuple(
+        tuple(digit_sum_count(k, p, d - lam + mu * p) for mu in range(k))
+        for lam in range(k)
+    )
+
+
+@lru_cache(maxsize=None)
 def multinomial_matrix(p: int, k: int, d: int) -> PolyMatrix:
     """The k x k digit matrix with entry (row, col) = x^row * N(d - row + col*p).
 
@@ -53,17 +73,10 @@ def multinomial_matrix(p: int, k: int, d: int) -> PolyMatrix:
     on the columns of tuple-counting polynomials, which the test suite checks
     against an independent factorial-valuation oracle.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if not 0 <= d < p:
-        raise ValueError(f"digit {d} out of range for base {p}")
-    rows = []
-    for lam in range(k):
-        row = []
-        for mu in range(k):
-            row.append(ValPoly({lam: digit_sum_count(k, p, d - lam + mu * p)}))
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))
+    return PolyMatrix(tuple(
+        tuple(ValPoly({lam: c}) for c in row)
+        for lam, row in enumerate(digit_counts(p, k, d))
+    ))
 
 
 @lru_cache(maxsize=None)

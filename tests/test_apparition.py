@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cnomial import oracle, seqcore
 from cnomial.apparition import (
+    _lucas_rank_of_prime,
+    _prime_factors,
     PrimeClass,
     PrimeProfile,
     UndeterminedError,
@@ -283,3 +285,70 @@ def test_classify_cost_in_probes(fib, monkeypatch):
     assert prof.prime_class is PrimeClass.IDEAL
     assert pulled[0] <= p + 1
     assert jumps[0] <= 2 * (len(prof.ratios) - 1)
+
+
+PRIMES_TO_2000 = [p for p in range(3, 2001) if is_prime(p)]
+
+
+def test_prime_factors():
+    assert _prime_factors(1) == []
+    assert _prime_factors(2) == [2]
+    assert _prime_factors(10008) == [2, 3, 139]
+    assert _prime_factors(1000000008) == [2, 3, 7, 109, 167]
+    assert _prime_factors(2**31 - 1) == [2**31 - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(_valid_lucas),
+       st.sampled_from(PRIMES_TO_2000))
+def test_lucas_rank_divisor_check_matches_scan(params, p):
+    # Level 1 without a scan (odd p not dividing Q) against the Brent scan.
+    assume(params[1] % p != 0)
+    spec = LucasSpec(*params)
+    assert _lucas_rank_of_prime(spec, p) == rank_of_apparition(spec, p), (params, p)
+
+
+def test_lucas_rank_when_p_divides_discriminant():
+    # D = P^2 - 4Q = 0 mod p: alpha(p) = p.  U(2, 1) is the naturals.
+    assert _lucas_rank_of_prime(LucasSpec(2, 1), 7) == 7
+    assert _lucas_rank_of_prime(LucasSpec(1, -1), 5) == 5   # Fibonacci, D = 5
+
+
+@pytest.mark.parametrize("p", [10007, 1000000007])
+def test_classify_lucas_level_one_cost(fib, monkeypatch, p):
+    # Counted rather than timed: for a Lucas sequence at an odd prime not
+    # dividing Q, level 1 pulls no term from the scan and makes one jump to
+    # p - (D/p) plus at most one per prime factor of it; each further level
+    # makes at most two.
+    pulled, jumps = [0], [0]
+    residues, jump = seqcore.residues, seqcore._lucas_jump
+
+    def counted_residues(spec, m):
+        for u in residues(spec, m):
+            pulled[0] += 1
+            yield u
+
+    def counted_jump(spec, n, m):
+        jumps[0] += 1
+        return jump(spec, n, m)
+
+    monkeypatch.setattr(seqcore, "residues", counted_residues)
+    monkeypatch.setattr(seqcore, "_lucas_jump", counted_jump)
+    prof = classify(fib, p)
+    assert prof.prime_class is PrimeClass.IDEAL
+    assert prof.alpha == p + 1          # (5/p) = -1 for both primes
+    assert pulled[0] == 0
+    assert jumps[0] <= 1 + (p + 1).bit_length() + 2 * (len(prof.ratios) - 1)
+
+
+def test_lucas_chain_extended_past_the_cap():
+    # 2^16 | U_3 of U(1, -65535): alpha(2^j) = 3 for j <= 16, so the first
+    # ratio equal to 2 is a_17, past the default cap.  Lucas sequences have
+    # no unacceptable primes; the chain is extended until that ratio.
+    prof = classify(LucasSpec(1, -65535), 2)
+    assert prof.prime_class is PrimeClass.IDEAL is classify_lucas_fast(1, -65535, 2)
+    assert (prof.s, prof.alpha_powers, prof.evidence_kmax) == (16, (3,) * 16, 17)
+    # The same with an explicit kmax shorter than the run of ratios 1.
+    prof = classify(LucasSpec(7, 1), 2, kmax=4)
+    assert prof.prime_class is PrimeClass.IDEAL
+    assert prof.ratios == (3, 1, 1, 1, 2)

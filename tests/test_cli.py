@@ -4,7 +4,7 @@ import random
 
 from cnomial import cli, engine
 from cnomial.apparition import classify
-from cnomial.polyarith import ValPoly
+from cnomial.polyarith import PolyVector, ValPoly
 from cnomial.seqcore import parse_selector
 
 from conftest import EDS14_PATH, EDS150_PATH
@@ -225,3 +225,26 @@ def test_same_basename_files_get_their_own_answers(tmp_path, monkeypatch):
     want = "4 + 2*x + 5*x^2 + 2*x^3\n"
     assert (code, out) == (0, want)
     assert run_cli("oracle", "--seq", f"file:{nat_path}", "-p", "2", "-n", "12") == (0, want)
+
+
+def test_normalization_failure_exit_code(monkeypatch, capsys):
+    # A wrong digit-loop column is caught by the normalization check and
+    # reported as a verification divergence, not a traceback.
+    real = engine._matrix_product_apply
+
+    def bumped(p, k, digits):
+        v = real(p, k, digits)
+        return PolyVector.column(*(e + ValPoly.one() for e in v.entries))
+
+    monkeypatch.setattr(engine, "_matrix_product_apply", bumped)
+    code, out = run_cli("eval", "--seq", "lucas:5,-2", "-p", "7", "-n", "12")
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: normalization broken: coefficients sum to ")
+    assert "Traceback" not in err
+
+
+def test_classify_large_prime():
+    code, out = run_cli("classify", "--seq", "fibonacci", "-p", "1000000007")
+    assert code == 0
+    assert out.startswith("p=1000000007 class=Ideal s=1 alpha_powers=[1000000008] ")

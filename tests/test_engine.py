@@ -1,11 +1,15 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnomial import engine, oracle
-from cnomial.apparition import classify
+from cnomial.apparition import classify, is_prime
 from cnomial.engine import (
     EvalPath,
+    NormalizationError,
+    _matrix_product_apply,
     base_digits,
     decompose,
     eval_generating_poly,
@@ -13,9 +17,9 @@ from cnomial.engine import (
     unit_column,
 )
 from cnomial.oracle import digit_sum
-from cnomial.polyarith import ValPoly, mat_vec_mul
+from cnomial.polyarith import PolyVector, ValPoly, mat_vec_mul
 from cnomial.seqcore import LucasSpec
-from cnomial.transfer import multinomial_matrix
+from cnomial.transfer import digit_matrices, multinomial_matrix
 
 P = ValPoly
 
@@ -208,3 +212,97 @@ def test_linear_representation_json_shape(fib, profile_of):
     assert len(data["digit_matrices"]) == 2
     assert data["residue_vectors"]["1"] == [{"0": "2"}, {"1": "2", "2": "2"}]
     assert data["final_vector"] == [{"0": "1"}, {}]
+
+
+def generic_apply(p, k, digits):
+    # The reference: M(d_0) * ... * M(d_last) * e^T with generic polynomial
+    # arithmetic over the exported digit matrices.
+    v = unit_column(k)
+    for d in reversed(digits):
+        v = mat_vec_mul(digit_matrices(p, k)[d], v)
+    return v
+
+
+def test_packed_loop_matches_factorial_oracle():
+    # The column after the digits of n is the column of tuple-counting
+    # polynomials at n, built from factorial valuations only.
+    for p in (2, 3, 5, 7):
+        for k in (2, 3, 4):
+            for n in range(40 if k < 4 else 25):
+                got = _matrix_product_apply(p, k, base_digits(n, p))
+                assert got == oracle.component_vector(p, k, n), (p, k, n)
+
+
+PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
+LIMIT = 10**60
+
+
+@st.composite
+def prime_k_index(draw):
+    p = draw(st.sampled_from(PRIMES_TO_101))
+    k = draw(st.integers(2, 6))
+    top = len(base_digits(LIMIT, p)) - 1          # p**top <= LIMIT
+    n = draw(st.one_of(
+        st.integers(0, LIMIT - 1),
+        st.just(0),
+        # every digit p - 1
+        st.integers(1, top).map(lambda length: p**length - 1),
+        # a long run of zero digits between a leading and a trailing digit
+        st.builds(lambda lead, run, low: lead * p**run + low,
+                  st.integers(1, p - 1), st.integers(1, top - 1), st.integers(0, p - 1)),
+    ))
+    return p, k, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(prime_k_index())
+def test_packed_loop_matches_generic_loop(case):
+    p, k, n = case
+    digits = base_digits(n, p)
+    assert _matrix_product_apply(p, k, digits) == generic_apply(p, k, digits), case
+
+
+def test_packed_loop_slot_width_edge():
+    # The widest coefficients relative to the slot: large p and k, 30 base-p
+    # digits, all maximal or mixed.
+    p, k = 101, 6
+    for n in (p**30 - 1, p**29, 3 * p**29 + 17 * p**11 + 100):
+        digits = base_digits(n, p)
+        assert len(digits) == 30
+        got = _matrix_product_apply(p, k, digits)
+        assert got == generic_apply(p, k, digits)
+        assert got.entries[0].eval_at_one() == comb(n + k - 1, k - 1)
+
+
+def test_packed_loop_builds_no_polynomial_per_digit(fib, profile_of, monkeypatch):
+    # Counted rather than timed: the polynomials built for one query do not
+    # depend on the number of digits.  Both indices have residue 1 mod 6, so
+    # they share the initial vector.
+    prof = profile_of(fib, 2)
+    init = ValPoly.__init__
+    built = [0]
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ValPoly, "__init__", counted_init)
+    counts = []
+    for n in (6 * 10**20 + 1, 6 * 10**80 + 1):
+        built[0] = 0
+        eval_generating_poly(fib, prof, 5, n)
+        counts.append(built[0])
+    assert counts[0] == counts[1]
+
+
+def test_normalization_failure_is_typed(lucas52, profile_of, monkeypatch):
+    real = engine._matrix_product_apply
+
+    def bumped(p, k, digits):
+        v = real(p, k, digits)
+        return PolyVector.column(*(e + ValPoly.one() for e in v.entries))
+
+    monkeypatch.setattr(engine, "_matrix_product_apply", bumped)
+    with pytest.raises(NormalizationError, match="normalization broken"):
+        eval_generating_poly(lucas52, profile_of(lucas52, 7), 2, 12)
+    assert issubclass(NormalizationError, ArithmeticError)
