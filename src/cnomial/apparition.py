@@ -224,18 +224,21 @@ def _lucas_rank_of_prime(spec: seqcore.LucasSpec, p: int) -> int:
 def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
     """Yield alpha(p), alpha(p^2), ... for as long as the caller pulls.
 
-    Yields nothing when p divides no term.  Level 1 is the divisor check
-    above for Lucas sequences at odd primes not dividing Q, and the scan
-    above otherwise (p = 2, p | Q where absence must be proved, the
-    naturals and stored terms).  At level k >= 2 with a = alpha(p^(k-1)),
-    strong divisibility makes alpha(p^k) a multiple of a.  For Lucas sequences and the naturals the
-    law of repetition (p^(k-1) | C_a implies p^k | C_(p*a)) pins it to a
-    or p*a, so two probes decide the level; stored terms are probed at
-    every stored multiple of a, and running out raises UndeterminedError.
+    Yields nothing when p divides no term.  Level 1 is p itself for the
+    naturals, the divisor check above for Lucas sequences at odd primes not
+    dividing Q, and the scan above otherwise (p = 2, p | Q where absence
+    must be proved, and stored terms).  At level k >= 2 with
+    a = alpha(p^(k-1)), strong divisibility makes alpha(p^k) a multiple of
+    a.  For Lucas sequences and the naturals the law of repetition
+    (p^(k-1) | C_a implies p^k | C_(p*a)) pins it to a or p*a, so two
+    probes decide the level; stored terms are probed at every stored
+    multiple of a, and running out raises UndeterminedError.
     """
     if (isinstance(spec, seqcore.LucasSpec) and p != 2 and spec.Q % p != 0
             and is_prime(p)):
         a = _lucas_rank_of_prime(spec, p)
+    elif isinstance(spec, seqcore.NaturalsSpec) and p >= 2:
+        a = p
     else:
         a = rank_of_apparition(spec, p)
     if a is None:
@@ -288,10 +291,10 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
     a failure.
 
     Finding alpha(p) takes O(sqrt(p)) trial divisions and a few jumps for
-    Lucas sequences at odd primes not dividing Q, and scans at most
-    alpha(p) terms otherwise; each further level then probes O(1) indices
-    (two for Lucas sequences and the naturals), so the cost no longer grows
-    with alpha(p^k).
+    Lucas sequences at odd primes not dividing Q, nothing for the naturals
+    (alpha(p) = p), and scans at most alpha(p) terms otherwise; each further
+    level then probes O(1) indices (two for Lucas sequences and the
+    naturals), so the cost no longer grows with alpha(p^k).
 
     A file-backed sequence that runs out of terms mid-chain keeps whatever
     evidence was gathered; if not even one stabilized ratio was confirmed

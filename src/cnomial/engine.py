@@ -86,6 +86,8 @@ def unit_column(k: int) -> PolyVector:
 
 
 def _matrix_product_apply(p: int, k: int, digits: list[int]) -> PolyVector:
+    if not digits:
+        return unit_column(k)
     # M(d_0) * ... * M(d_last) * e^T, accumulated from the right.  Entry
     # (row, col) of M(d) is c*x^row, so a column entry is packed into one
     # integer with the coefficient of x^i in bits [i*width, (i+1)*width)

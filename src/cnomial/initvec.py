@@ -6,15 +6,18 @@ index modulo alpha(p) (ideal primes) or alpha(p^s) (acceptable primes).
 
 For ideal primes the vector entries have a closed form: entry lam is
 x^{(s-1)*lam} times the number of k-tuples of residues below alpha(p)
-summing to r + lam*alpha(p).  For acceptable primes no closed form is
-known; each qualifying residue tuple is enumerated and contributes a power
-of x given by the carry exponent below.
+summing to r + lam*alpha(p).  For acceptable primes each residue tuple
+contributes a power of x given by its carry exponent (``f_value``), a
+count of carries in the mixed radix alpha(p), alpha(p^2)/alpha(p), ...,
+alpha(p^s)/alpha(p^(s-1)).  The tuples are never enumerated: the vector is
+a product of s small carry-transfer steps, one per digit of r in that
+radix, just as the digit matrices carry across the base-p digits of the
+quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .apparition import PrimeClass, PrimeProfile
 from .polyarith import PolyVector, ValPoly
@@ -104,27 +107,21 @@ def f_value(profile: PrimeProfile, k: int, lam: int, r: int,
     return value
 
 
-def _bounded_compositions(total: int, k: int, bound: int) -> Iterator[tuple[int, ...]]:
-    # Compositions of total into k parts, each in [0, bound); branches that
-    # cannot reach the total are pruned rather than filtered.
-    if k == 1:
-        if 0 <= total < bound:
-            yield (total,)
-        return
-    lo = max(0, total - (k - 1) * (bound - 1))
-    hi = min(bound - 1, total)
-    for first in range(lo, hi + 1):
-        for rest in _bounded_compositions(total - first, k - 1, bound):
-            yield (first,) + rest
-
-
 def acceptable_vector(profile: PrimeProfile, k: int, r: int) -> InitialVector:
     """Length-k row for an acceptable prime, modulus alpha(p^s).
 
     Entry lam sums x^(f - lam) over all k-tuples of residues below
     alpha(p^s) summing to r + lam*alpha(p^s), with f the carry exponent of
-    the tuple.  Ideal primes are accepted too; the result then agrees with
-    ideal_multinomial_vector.
+    the tuple (``f_value``).  Ideal primes are accepted too; the result then
+    agrees with ideal_multinomial_vector.
+
+    f - lam is the number of carries c_1 + ... + c_(s-1) when the tuple is
+    added in the mixed radix b_1 = alpha(p), b_j = alpha(p^j)/alpha(p^(j-1)),
+    and the carry out of the top level is c_s = lam.  So the row is built
+    digit by digit of r, like the universal digit matrices: one polynomial
+    per carry in [0, k), and at level j the k digits below b_j plus the
+    carry c_in must make t_j + c_out*b_j, where t_j is digit j of r.  That
+    is s*k^2 digit_sum_count calls, with no tuple enumerated.
     """
     _require_class(profile, (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE))
     if k < 2:
@@ -132,18 +129,33 @@ def acceptable_vector(profile: PrimeProfile, k: int, r: int) -> InitialVector:
     base = profile.stable_modulus
     if not 0 <= r < base:
         raise ValueError(f"residue {r} not in [0, {base})")
-    entries = []
-    for lam in range(k):
-        counts: dict[int, int] = {}
-        for rtuple in _bounded_compositions(r + lam * base, k, base):
-            e = f_value(profile, k, lam, r, rtuple) - lam
-            if e < 0:
-                raise ArithmeticError(
-                    f"negative exponent {e} for tuple {rtuple}: "
-                    f"inconsistent profile for p={profile.p}"
-                )
-            counts[e] = counts.get(e, 0) + 1
-        entries.append(ValPoly(counts))
+    levels = profile.alpha_powers[:profile.s]
+    # carries[c] maps exponent -> number of digit prefixes leaving carry c;
+    # place = alpha(p^(j-1)) is the place value of digit j.
+    carries: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k - 1)]
+    place = 1
+    for j, a in enumerate(levels):
+        radix, rem = divmod(a, place)
+        if rem or not radix:
+            raise ArithmeticError(
+                f"alpha chain {profile.alpha_powers} is not a divisor chain: "
+                f"inconsistent profile for p={profile.p}"
+            )
+        t = r // place % radix
+        top = j == len(levels) - 1
+        nxt = []
+        for c_out in range(k):
+            shift = 0 if top else c_out
+            acc: dict[int, int] = {}
+            for c_in, poly in enumerate(carries):
+                w = digit_sum_count(k, radix, t + c_out * radix - c_in) if poly else 0
+                if w:
+                    for e, n in poly.items():
+                        acc[e + shift] = acc.get(e + shift, 0) + w * n
+            nxt.append(acc)
+        carries = nxt
+        place = a
+    entries = [ValPoly(poly) for poly in carries]
     return InitialVector(PolyVector.row(*entries), modulus=base, residue=r)
 
 
@@ -151,9 +163,9 @@ def vector_for(profile: PrimeProfile, k: int, r: int,
                path: str = "auto") -> InitialVector:
     """Initial vector for the requested evaluation path.
 
-    ``auto`` picks the ideal closed form for ideal primes and tuple
-    enumeration for acceptable ones; ``ideal`` and ``acceptable`` force a
-    path (the acceptable path is valid for ideal primes as well).
+    ``auto`` picks the ideal closed form for ideal primes and the carry
+    product for acceptable ones; ``ideal`` and ``acceptable`` force a path
+    (the acceptable path is valid for ideal primes as well).
     """
     if path == "auto":
         path = IDEAL_PATH if profile.prime_class is PrimeClass.IDEAL else ACCEPTABLE_PATH

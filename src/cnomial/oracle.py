@@ -11,7 +11,6 @@ check.
 from __future__ import annotations
 
 import random
-import threading
 
 from . import apparition, seqcore
 from .apparition import StrongDivisibilityError
@@ -169,18 +168,18 @@ def brute_generating_poly(spec: SequenceSpec, p: int, k: int, n: int, *,
 # (sum of part digit sums - digit_sum(n)) / (p - 1).
 
 _digit_count_cache: dict[tuple[int, int], list[dict[int, int]]] = {}
-_digit_count_lock = threading.Lock()
 
 
-def _extend_digit_sum_counts(p: int, k: int, nmax: int) -> list[dict[int, int]]:
-    # Caller holds the lock.
-    key = (p, k)
-    rows = _digit_count_cache.setdefault(key, [])
+def _digit_sum_counts(p: int, k: int, nmax: int) -> list[dict[int, int]]:
+    # rows[n] maps D -> number of k-part compositions of n whose parts have
+    # base-p digit sums totalling D; the cached rows are extended only as
+    # far as a caller needs.
+    rows = _digit_count_cache.setdefault((p, k), [])
     if k == 1:
         for n in range(len(rows), nmax + 1):
             rows.append({digit_sum(n, p): 1})
         return rows
-    prev = _extend_digit_sum_counts(p, k - 1, nmax)
+    prev = _digit_sum_counts(p, k - 1, nmax)
     for n in range(len(rows), nmax + 1):
         acc: dict[int, int] = {}
         for m in range(n + 1):
@@ -189,14 +188,6 @@ def _extend_digit_sum_counts(p: int, k: int, nmax: int) -> list[dict[int, int]]:
                 acc[d + shift] = acc.get(d + shift, 0) + c
         rows.append(acc)
     return rows
-
-
-def _digit_sum_counts(p: int, k: int, nmax: int) -> list[dict[int, int]]:
-    # rows[n] maps D -> number of k-part compositions of n whose parts have
-    # base-p digit sums totalling D; extended incrementally under a lock so
-    # concurrent sweeps see an idempotent fill.
-    with _digit_count_lock:
-        return _extend_digit_sum_counts(p, k, nmax)
 
 
 def multinomial_count_poly(p: int, k: int, n: int) -> ValPoly:

@@ -341,6 +341,30 @@ def test_classify_lucas_level_one_cost(fib, monkeypatch, p):
     assert jumps[0] <= 1 + (p + 1).bit_length() + 2 * (len(prof.ratios) - 1)
 
 
+def test_classify_naturals_level_one_cost(naturals, monkeypatch):
+    # alpha(p) = p for the naturals: level 1 pulls no term at all, and each
+    # further level makes at most two jumps.
+    pulled, jumps = [0], [0]
+    residues, term_mod = seqcore.residues, seqcore.term_mod
+
+    def counted_residues(spec, m):
+        for u in residues(spec, m):
+            pulled[0] += 1
+            yield u
+
+    def counted_term_mod(spec, n, m):
+        jumps[0] += 1
+        return term_mod(spec, n, m)
+
+    monkeypatch.setattr(seqcore, "residues", counted_residues)
+    monkeypatch.setattr(seqcore, "term_mod", counted_term_mod)
+    p = 1000000007
+    prof = classify(naturals, p)
+    assert (prof.prime_class, prof.alpha_powers) == (PrimeClass.IDEAL, (p,))
+    assert pulled[0] == 0
+    assert jumps[0] <= 2 * (len(prof.ratios) - 1)
+
+
 def test_lucas_chain_extended_past_the_cap():
     # 2^16 | U_3 of U(1, -65535): alpha(2^j) = 3 for j <= 16, so the first
     # ratio equal to 2 is a_17, past the default cap.  Lucas sequences have

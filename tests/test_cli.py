@@ -2,9 +2,9 @@ import io
 import json
 import random
 
-from cnomial import cli, engine
+from cnomial import cli, engine, oracle
 from cnomial.apparition import classify
-from cnomial.polyarith import PolyVector, ValPoly
+from cnomial.polyarith import PolyMatrix, PolyVector, ValPoly
 from cnomial.seqcore import parse_selector
 
 from conftest import EDS14_PATH, EDS150_PATH
@@ -172,6 +172,32 @@ def test_export(tmp_path):
     assert stored["modulus"] == 3
 
 
+def test_export_acceptable_k4_modulus_50(tmp_path, make_chain_spec):
+    # Acceptable chain 2 | 10 | 50 at p = 3 (ratios 2, 5, 5, then 3).  The
+    # exported data, read back from JSON alone, must give the brute-force
+    # polynomial at every residue of one period and across the first digit.
+    spec = make_chain_spec((2, 10, 50, 150), 150, p=3)
+    path = tmp_path / "chain.txt"
+    path.write_text("".join(f"{t}\n" for t in spec.terms))
+    code, out = run_cli("export", "--seq", f"file:{path}", "-p", "3", "-k", "4")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["p"], data["k"], data["modulus"]) == (3, 4, 50)
+    poly = ValPoly.from_json_dict
+    rep = engine.LinearRepresentation(
+        p=3, k=4, modulus=50,
+        residue_vectors={int(r): PolyVector.row(*map(poly, v))
+                         for r, v in data["residue_vectors"].items()},
+        digit_matrices={int(d): PolyMatrix.from_rows([map(poly, row) for row in m])
+                        for d, m in data["digit_matrices"].items()},
+        final_vector=PolyVector.column(*map(poly, data["final_vector"])),
+    )
+    table = oracle.corial_valuation_table(spec, 3, 52)
+    for n in [*range(50), 50, 51, 52]:
+        want = oracle.brute_generating_poly(spec, 3, 4, n, _table=table)
+        assert rep.evaluate(*divmod(n, 50)) == want, n
+
+
 def test_bench_report():
     code, out = run_cli("bench", "--seq", "fibonacci", "-p", "2",
                         "--n-grid", "100,1000,10000", "--oracle-cutoff", "2000",
@@ -248,3 +274,6 @@ def test_classify_large_prime():
     code, out = run_cli("classify", "--seq", "fibonacci", "-p", "1000000007")
     assert code == 0
     assert out.startswith("p=1000000007 class=Ideal s=1 alpha_powers=[1000000008] ")
+    code, out = run_cli("classify", "--seq", "naturals", "-p", "1000000007")
+    assert code == 0
+    assert out.startswith("p=1000000007 class=Ideal s=1 alpha_powers=[1000000007] ")

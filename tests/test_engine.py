@@ -306,3 +306,18 @@ def test_normalization_failure_is_typed(lucas52, profile_of, monkeypatch):
     with pytest.raises(NormalizationError, match="normalization broken"):
         eval_generating_poly(lucas52, profile_of(lucas52, 7), 2, 12)
     assert issubclass(NormalizationError, ArithmeticError)
+
+
+def test_indices_below_the_modulus(fib, lucas52, naturals, eds150, profile_of):
+    # n < modulus leaves no base-p digit: the column is e^T itself, and the
+    # answer is entry 0 of the residue vector, as the exported data says.
+    assert _matrix_product_apply(7, 4, []) == unit_column(4)
+    for spec, p, force in [(fib, 2, None), (lucas52, 7, None), (lucas52, 7, "acceptable"),
+                           (naturals, 5, None), (eds150, 2, None)]:
+        prof = profile_of(spec, p)
+        for k in (2, 3, 4):
+            rep = linear_representation(prof, k, force_path=force)
+            for r in range(rep.modulus):
+                got = eval_generating_poly(spec, prof, k, r, force_path=force)
+                assert got.decomposition[3] == ()
+                assert got.polynomial == rep.evaluate(0, r), (spec.selector, p, force, k, r)

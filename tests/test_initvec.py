@@ -1,8 +1,12 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cnomial.apparition import PrimeClass, PrimeProfile
+from cnomial import initvec
+from cnomial.apparition import PrimeClass, PrimeProfile, classify
+from cnomial.engine import linear_representation
 from cnomial.initvec import (
     acceptable_vector,
     f_value,
@@ -11,6 +15,7 @@ from cnomial.initvec import (
     vector_for,
 )
 from cnomial.polyarith import ValPoly
+from cnomial.seqcore import LucasSpec
 
 P = ValPoly
 
@@ -113,7 +118,7 @@ def test_acceptable_vector_count_normalization(fib, naturals, profile_of):
 def test_acceptable_vector_specializes_to_ideal(lucas52, naturals, eds14, profile_of):
     for spec, p in [(lucas52, 7), (naturals, 3), (eds14, 2)]:
         prof = profile_of(spec, p)
-        for k in (2, 3):
+        for k in (2, 3, 4, 5):
             for r in range(prof.alpha):
                 assert (acceptable_vector(prof, k, r).vector
                         == ideal_multinomial_vector(prof, k, r).vector), (spec.selector, k, r)
@@ -138,3 +143,85 @@ def test_vector_for_dispatch(fib, lucas52, profile_of):
         vector_for(fib2, 2, 1, "ideal")
     with pytest.raises(ValueError):
         vector_for(prof7, 2, 4, "sideways")
+
+
+def _enumerated_vector(profile, k, r):
+    # The definition, literally: every k-tuple of residues below alpha(p^s)
+    # summing to r + lam*alpha(p^s) adds x^(f - lam) to entry lam.
+    base = profile.stable_modulus
+    counts = [{} for _ in range(k)]
+    for head in product(range(base), repeat=k - 1):
+        for lam in range(k):
+            last = r + lam * base - sum(head)
+            if 0 <= last < base:
+                e = f_value(profile, k, lam, r, head + (last,)) - lam
+                counts[lam][e] = counts[lam].get(e, 0) + 1
+    return tuple(ValPoly(c) for c in counts)
+
+
+@st.composite
+def _divisor_chains(draw):
+    # a_1 | a_2 | ... | a_s = modulus, repeats (ratio 1) allowed.
+    chain = [draw(st.integers(2, 30))]
+    for _ in range(draw(st.integers(0, 3))):
+        head = chain[0]
+        chain.insert(0, draw(st.sampled_from([d for d in range(1, head + 1) if head % d == 0])))
+    return tuple(chain)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_divisor_chains(), st.sampled_from([2, 3, 5, 7]), st.integers(2, 4), st.data())
+def test_carry_dp_matches_enumeration_on_chains(make_chain_spec, chain, p, k, data):
+    # One ratio p past the chain confirms it; classify may then find a
+    # shorter s when the chain itself ends in ratios equal to p.
+    m = chain[-1]
+    spec = make_chain_spec(chain + (m * p,), m * p, p=p)
+    prof = classify(spec, p, kmax=len(chain) + 1)
+    assert prof.prime_class in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE)
+    r = data.draw(st.integers(0, prof.stable_modulus - 1))
+    assert (acceptable_vector(prof, k, r).vector.entries
+            == _enumerated_vector(prof, k, r)), (chain, p, k, r)
+
+
+def _valid_lucas(params):
+    try:
+        LucasSpec(*params)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(-20, 20), st.integers(-20, 20)).filter(_valid_lucas),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29]), st.integers(2, 4), st.data())
+def test_carry_dp_matches_enumeration_on_lucas(params, p, k, data):
+    prof = classify(LucasSpec(*params), p)
+    assume(prof.prime_class in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE))
+    assume(prof.stable_modulus <= 30)
+    r = data.draw(st.integers(0, prof.stable_modulus - 1))
+    assert (acceptable_vector(prof, k, r).vector.entries
+            == _enumerated_vector(prof, k, r)), (params, p, k, r)
+
+
+def test_acceptable_route_cost_at_modulus_50(make_chain_spec, monkeypatch):
+    # Counted rather than timed: s*k^2 digit_sum_count calls per residue
+    # and no tuple, where enumeration made O(modulus^(k-1)) f_value calls.
+    prof = classify(make_chain_spec((2, 10, 50, 150), 150, p=3), 3)
+    assert (prof.prime_class, prof.alpha_powers) == (PrimeClass.ACCEPTABLE, (2, 10, 50))
+    calls = {"f_value": 0, "digit_sum_count": 0}
+
+    def counted(name):
+        real = getattr(initvec, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(initvec, name, counted(name))
+    k, m, s = 4, prof.stable_modulus, prof.s
+    rep = linear_representation(prof, k, force_path="acceptable")
+    assert len(rep.residue_vectors) == m
+    assert calls["f_value"] == 0
+    assert 0 < calls["digit_sum_count"] <= m * s * k * k
