@@ -26,6 +26,7 @@ from .engine import (
     base_digits,
     decompose,
     eval_generating_poly,
+    eval_sweep,
     linear_representation,
 )
 from .initvec import (
@@ -36,11 +37,13 @@ from .initvec import (
     ideal_multinomial_vector,
 )
 from .oracle import (
+    WorkLimitError,
     brute_generating_poly,
     cmultinomial_bigint,
     cmultinomial_valuation,
     component_vector,
     corial_valuation,
+    generating_polys,
 )
 from .polyarith import PolyMatrix, PolyVector, ValPoly, mat_mul, mat_vec_mul, row_vec_mul
 from .seqcore import (
@@ -77,6 +80,7 @@ __all__ = [
     "StrongDivisibilityError",
     "UndeterminedError",
     "ValPoly",
+    "WorkLimitError",
     "acceptable_vector",
     "base_digits",
     "binomial_matrix",
@@ -90,7 +94,9 @@ __all__ = [
     "decompose",
     "digit_sum_count",
     "eval_generating_poly",
+    "eval_sweep",
     "f_value",
+    "generating_polys",
     "ideal_binomial_vector",
     "ideal_multinomial_vector",
     "linear_representation",

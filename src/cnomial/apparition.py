@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 from typing import Iterator
 
 from . import seqcore
@@ -122,18 +123,28 @@ def valuation(x: int, p: int) -> int:
     return e
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least composite that is a strong probable prime to every base in
+# _MR_BASES (psi_12 of Sorenson and Webster, 2017); below it those bases
+# decide primality exactly.
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for anything a CLI will see."""
+    """Primality: exact below 318665857834031151167461 (strong tests to the
+    twelve prime bases 2..37); above it the Baillie-PSW test (those strong
+    tests, base 2 among them, plus a strong Lucas test), which has no known
+    counterexample."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -143,7 +154,57 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (Baillie-Wagstaff 1980)
+    for odd n > 1 with no prime factor below 41: D is the first of
+    5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4, and with
+    n + 1 = d * 2^s, d odd, n passes when U_d = 0 or V_(d*2^t) = 0 mod n
+    for some t < s."""
+    if isqrt(n) ** 2 == n:
+        return False            # no D with (D/n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False        # gcd(D, n) > 1, and |D| < n here
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2         # the inverse of 2 mod n
+    # (U_i, V_i, Q^i) mod n from i = 1, doubling and stepping by the bits of d.
+    U, V, Qi = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qi = U * V % n, (V * V - 2 * Qi) % n, Qi * Qi % n
+        if bit == "1":
+            U, V, Qi = (U + V) * half % n, (D * U + V) * half % n, Qi * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qi = (V * V - 2 * Qi) % n, Qi * Qi % n
+        if V == 0:
+            return True
+    return False
 
 
 def rank_of_apparition(spec: SequenceSpec, m: int) -> int | None:

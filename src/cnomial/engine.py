@@ -10,7 +10,8 @@ polynomial.  Every matrix entry is a monomial c*x^row, so the loop keeps
 each column entry packed into one integer (one fixed-width slot per
 exponent) and does k^2 integer scalings and k shifts per digit; the
 exported ``LinearRepresentation`` evaluates with generic polynomial
-arithmetic instead.
+arithmetic instead.  ``eval_sweep`` answers every index up to a bound from
+one table of columns, one packed mat-vec per quotient.
 
 Primes with no usable matrix formula still get an answer: if p divides no
 term every valuation is 0 and the polynomial is the constant
@@ -20,13 +21,15 @@ the result is tagged accordingly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
 from . import initvec, oracle
 from .apparition import PrimeClass, PrimeProfile
-from .polyarith import PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul
+from .polyarith import (PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul,
+                        slot_width, unpack)
 from .seqcore import SequenceSpec
 from .transfer import digit_counts, digit_matrices
 
@@ -102,20 +105,13 @@ def _matrix_product_apply(p: int, k: int, digits: list[int]) -> PolyVector:
     for rows in steps:
         vec = [sum(c * m for c, m in zip(row, vec)) for row in rows]
         top = max(top, *vec)
-    width = -(-top.bit_length() // 8) * 8
+    width = slot_width(top)
     shifts = [row * width for row in range(k)]
     vec = [1] + [0] * (k - 1)
     for rows in steps:
         vec = [sum(c * v for c, v in zip(row, vec) if c) << shift
                for row, shift in zip(rows, shifts)]
-    return PolyVector.column(*(_unpack(v, width) for v in vec))
-
-
-def _unpack(packed: int, width: int) -> ValPoly:
-    size = width // 8
-    raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
-    return ValPoly({i: int.from_bytes(raw[j:j + size], "little")
-                    for i, j in enumerate(range(0, len(raw), size))})
+    return PolyVector.column(*(unpack(v, width) for v in vec))
 
 
 def _route(profile: PrimeProfile, force_path: str | None) -> tuple[str, int]:
@@ -129,6 +125,21 @@ def _route(profile: PrimeProfile, force_path: str | None) -> tuple[str, int]:
     if route == initvec.ACCEPTABLE_PATH:
         return route, profile.stable_modulus
     raise ValueError(f"unknown path {route!r}")
+
+
+def _matrix_path(route: str) -> EvalPath:
+    return EvalPath.IDEAL if route == initvec.IDEAL_PATH else EvalPath.ACCEPTABLE
+
+
+def _checked(result: QueryResult, k: int, n: int) -> QueryResult:
+    expected = comb(n + k - 1, k - 1)
+    total = result.polynomial.eval_at_one()
+    if total != expected:
+        raise NormalizationError(
+            f"normalization broken: coefficients sum to {total}, "
+            f"expected C({n}+{k}-1, {k}-1) = {expected}"
+        )
+    return result
 
 
 def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int, n: int,
@@ -145,12 +156,11 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int, n: i
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     cls = profile.prime_class
-    expected_total = comb(n + k - 1, k - 1)
 
     if cls is PrimeClass.NO_APPARITION:
         if force_path is not None:
             raise ValueError(f"p={profile.p} has no apparition; no matrix path applies")
-        result = QueryResult(ValPoly({0: expected_total}), EvalPath.TRIVIAL,
+        result = QueryResult(ValPoly({0: comb(n + k - 1, k - 1)}), EvalPath.TRIVIAL,
                              (1, n, 0, ()))
     elif cls is PrimeClass.UNACCEPTABLE:
         if force_path is not None:
@@ -164,16 +174,54 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int, n: i
         digits = base_digits(quot, profile.p)
         v = _matrix_product_apply(profile.p, k, digits)
         poly = row_vec_mul(u.vector, v)
-        path = EvalPath.IDEAL if route == initvec.IDEAL_PATH else EvalPath.ACCEPTABLE
-        result = QueryResult(poly, path, (modulus, quot, r, tuple(digits)))
+        result = QueryResult(poly, _matrix_path(route), (modulus, quot, r, tuple(digits)))
+    return _checked(result, k, n)
 
-    total = result.polynomial.eval_at_one()
-    if total != expected_total:
-        raise NormalizationError(
-            f"normalization broken: coefficients sum to {total}, "
-            f"expected C({n}+{k}-1, {k}-1) = {expected_total}"
-        )
-    return result
+
+def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int, n_max: int,
+               *, force_path: str | None = None) -> Iterator[QueryResult]:
+    """Yield ``eval_generating_poly(spec, profile, k, n, force_path=...)`` for
+    n = 0, 1, ..., n_max in turn, with the same paths, decompositions and
+    errors, each raised at the n where the per-n call raises it.
+
+    On the matrix routes the columns come from a quotient table: reading
+    the digits of q least significant first, v(q) = M(q mod p) * v(q // p)
+    with v(0) = e^T, so the whole sweep costs one packed mat-vec per
+    quotient q <= n_max // modulus, one ``vector_for`` per residue, and one
+    contraction per n.  The table is built as the sweep reaches each q.
+    Entry lam of v(q) is the naturals' component vector at q (see
+    ``oracle.component_vector``), whose coefficients sum to at most
+    C(q+k-1, k-1); one slot width for that bound at the largest q is exact
+    for every entry.  Other prime classes are evaluated per n.
+    """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if profile.prime_class not in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE):
+        for n in range(n_max + 1):
+            yield eval_generating_poly(spec, profile, k, n, force_path=force_path)
+        return
+    p = profile.p
+    route, modulus = _route(profile, force_path)
+    path = _matrix_path(route)
+    width = slot_width(comb(n_max // modulus + k - 1, k - 1))
+    shifts = [row * width for row in range(k)]
+    table = [[1] + [0] * (k - 1)]
+    vectors: dict[int, PolyVector] = {}
+    for q in range(n_max // modulus + 1):
+        if q:
+            vec = table[q // p]
+            table.append([sum(c * v for c, v in zip(row, vec) if c) << shift
+                          for row, shift in zip(digit_counts(p, k, q % p), shifts)])
+        column = PolyVector.column(*(unpack(v, width) for v in table[q]))
+        digits = tuple(base_digits(q, p))
+        for r in range(min(modulus, n_max - q * modulus + 1)):
+            if r not in vectors:
+                vectors[r] = initvec.vector_for(profile, k, r, route).vector
+            poly = row_vec_mul(vectors[r], column)
+            yield _checked(QueryResult(poly, path, (modulus, q, r, digits)),
+                           k, q * modulus + r)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,44 @@
-"""Independent brute-force ground truth.
+"""Independent ground truth, built only from the corial valuation table.
 
-Everything here is deliberately naive: valuations come from the
-Legendre-style divisor count over the apparition chain, generating
-polynomials from literal enumeration of index tuples, and an optional
-sampling mode recomputes tuples from exact big-integer term products.
-None of it touches the transfer matrices or initial vectors it is used to
+Valuations come from the Legendre-style divisor count over the apparition
+chain: t(n) = sum over j of floor(n / alpha(p^j)) is the valuation of
+C_n * ... * C_1, and a k-part composition (m_1, ..., m_k) of n has
+valuation t(n) - t(m_1) - ... - t(m_k).  Two evaluators read that table:
+
+* ``brute_generating_poly`` enumerates the C(n+k-1, k-1) compositions of
+  one n literally; an optional sampling mode recomputes tuples from exact
+  big-integer term products.
+* ``generating_polys`` sweeps n = 0..n_max by convolving over the first
+  part: P_1(n) = 1 and P_j(n) = sum over m of
+  x^(t(n) - t(m) - t(n-m)) * P_(j-1)(n-m).  Each exponent is one
+  C-binomial's valuation, so degrees stay small; the sweep costs about
+  k * n_max^2 / 2 additions of small packed integers.
+
+Both refuse up front (``WorkLimitError``) work above a fixed bound.  None
+of this touches the transfer matrices or initial vectors it is used to
 check.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
+from math import comb
+from operator import lshift
 
 from . import apparition, seqcore
 from .apparition import StrongDivisibilityError
-from .polyarith import PolyVector, ValPoly
+from .polyarith import PolyVector, ValPoly, slot_width, unpack
 from .seqcore import SequenceSpec
+
+MAX_TUPLES = 10 ** 7
+"""Most compositions ``brute_generating_poly`` enumerates for one n."""
+MAX_SWEEP_STEPS = 10 ** 8
+"""Largest k * n_max^2 that ``generating_polys`` accepts."""
+
+
+class WorkLimitError(ValueError):
+    """An oracle request exceeds its up-front work bound and was refused."""
 
 
 def digit_sum(n: int, p: int) -> int:
@@ -129,14 +152,21 @@ def brute_generating_poly(spec: SequenceSpec, p: int, k: int, n: int, *,
                           _table: list[int] | None = None) -> ValPoly:
     """Sum of x^valuation over all k-part compositions of n, by enumeration.
 
-    The fast path reads valuations off the apparition-chain table; with
-    bigint_samples > 0 that many random tuples are recomputed from literal
-    big-integer products and cross-checked.
+    Raises ``WorkLimitError`` before any work when there are more than
+    ``MAX_TUPLES`` compositions.  The fast path reads valuations off the
+    apparition-chain table; with bigint_samples > 0 that many random tuples
+    are recomputed from literal big-integer products and cross-checked.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    tuples = comb(n + k - 1, k - 1)
+    if tuples > MAX_TUPLES:
+        raise WorkLimitError(
+            f"enumeration refused: C({n}+{k}-1, {k}-1) = {tuples} tuples "
+            f"exceeds the limit of {MAX_TUPLES}"
+        )
     table = _table if _table is not None else corial_valuation_table(spec, p, n)
     top = table[n]
     counts: dict[int, int] = {}
@@ -159,6 +189,56 @@ def brute_generating_poly(spec: SequenceSpec, p: int, k: int, n: int, *,
                     f"big-integer {direct}, chain {fast}"
                 )
     return ValPoly(counts)
+
+
+def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int,
+                     table: list[int] | None = None) -> Iterator[ValPoly]:
+    """The polynomials of ``brute_generating_poly`` for n = 0..n_max, yielded
+    in increasing n, by convolution over the first part.
+
+    The work bound is checked, and the corial table (unless given) built,
+    before this returns; the polynomials are computed as they are taken.
+    StrongDivisibilityError is raised at the first n with a negative
+    binomial valuation t(n) - t(m) - t(n-m), which is the first n at which
+    enumeration finds a negative multinomial valuation: that valuation is a
+    sum of nested binomial ones at indices <= n.
+    """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    steps = k * n_max * n_max
+    if steps > MAX_SWEEP_STEPS:
+        raise WorkLimitError(
+            f"sweep refused: k * n_max^2 = {steps} convolution steps "
+            f"exceeds the limit of {MAX_SWEEP_STEPS}"
+        )
+    if table is None:
+        table = corial_valuation_table(spec, p, n_max)
+    return _convolve(table, k, n_max)
+
+
+def _convolve(table: list[int], k: int, n_max: int) -> Iterator[ValPoly]:
+    # parts[j][n] is P_(j+1)(n) packed into one integer, one slot of
+    # ``width`` bits per exponent; no coefficient of P_j(n) exceeds
+    # C(n+j-1, j-1), so the slots never overflow.  The term of part m is
+    # P_(j-1)(n-m) shifted left by width * (t(n) - t(m) - t(n-m)) bits.
+    width = slot_width(comb(n_max + k - 1, k - 1))
+    parts: list[list[int]] = [[] for _ in range(k)]
+    for n in range(n_max + 1):
+        head = table[:n + 1]
+        tn = table[n]
+        shifts = [(tn - a - b) * width for a, b in zip(head, reversed(head))]
+        if min(shifts) < 0:
+            m = next(m for m, s in enumerate(shifts) if s < 0)
+            raise StrongDivisibilityError(
+                f"negative valuation for ({n}; ({m}, {n - m})): "
+                f"sequence is not strong divisibility"
+            )
+        parts[0].append(1)
+        for lower, upper in zip(parts, parts[1:]):
+            upper.append(sum(map(lshift, lower[::-1], shifts)))
+        yield unpack(parts[-1][n], width)
 
 
 # ---------------------------------------------------------------------------

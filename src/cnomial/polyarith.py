@@ -186,6 +186,22 @@ class PolyMatrix:
         return len(self.entries)
 
 
+def slot_width(bound: int) -> int:
+    """Bits per slot of a packed polynomial whose coefficients are all at
+    most ``bound``: its bit length, rounded up to whole bytes."""
+    return -(-bound.bit_length() // 8) * 8
+
+
+def unpack(packed: int, width: int) -> ValPoly:
+    """The polynomial packed into one integer with the coefficient of x^i in
+    bits [i*width, (i+1)*width) (Kronecker substitution); width is a
+    multiple of 8."""
+    size = width // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    return ValPoly({i: int.from_bytes(raw[j:j + size], "little")
+                    for i, j in enumerate(range(0, len(raw), size))})
+
+
 def mat_vec_mul(m: PolyMatrix, v: PolyVector) -> PolyVector:
     """Matrix times column vector."""
     if v.orientation != COLUMN:

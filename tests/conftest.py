@@ -17,6 +17,15 @@ EDS14_PATH = DATA_DIR / "eds_a006769_14.txt"
 EDS150_PATH = DATA_DIR / "eds_a006769_150.txt"
 
 
+def valid_lucas(params):
+    """Whether LucasSpec accepts the pair (P, Q); a Hypothesis filter."""
+    try:
+        seqcore.LucasSpec(*params)
+    except ValueError:
+        return False
+    return True
+
+
 @pytest.fixture(scope="session")
 def fib():
     return seqcore.LucasSpec(1, -1)

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from cnomial import oracle, seqcore
 from cnomial.apparition import (
     _lucas_rank_of_prime,
     _prime_factors,
+    _strong_lucas_probable_prime,
     PrimeClass,
     PrimeProfile,
     UndeterminedError,
@@ -17,6 +20,8 @@ from cnomial.apparition import (
     valuation,
 )
 from cnomial.seqcore import FileBackedSpec, LucasSpec, NaturalsSpec
+
+from conftest import valid_lucas
 
 
 def test_valuation_examples():
@@ -31,6 +36,38 @@ def test_is_prime():
     assert [n for n in range(40) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
+
+
+def test_is_prime_past_the_fixed_bases():
+    # psi_12 and psi_13: the least composites that are strong probable
+    # primes to every prime base up to 37 and up to 41.
+    for composite, factor in [(318665857834031151167461, 399165290221),
+                              (3317044064679887385961981, 1287836182261)]:
+        assert composite % factor == 0 and 1 < factor < composite
+        assert not is_prime(composite)
+    for e in (89, 107, 127, 521):           # Mersenne primes
+        assert is_prime(2**e - 1)
+    assert not is_prime(2**127 + 1)
+    assert not is_prime((2**89 - 1) * (2**107 - 1))
+    assert not is_prime((2**61 - 1) ** 2)
+
+
+def test_strong_lucas_test_matches_known_pseudoprimes():
+    # Odd n < 40000 with no prime factor below 41 (the only n is_prime
+    # hands to the Lucas test): it accepts every prime, and exactly the
+    # strong Lucas pseudoprimes among the composites (OEIS A217255).
+    def trial_prime(n):
+        return all(n % d for d in range(2, isqrt(n) + 1))
+
+    accepted = []
+    for n in range(43, 40000, 2):
+        if any(n % q == 0 for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            continue
+        if _strong_lucas_probable_prime(n) and not trial_prime(n):
+            accepted.append(n)
+        if trial_prime(n):
+            assert _strong_lucas_probable_prime(n), n
+    assert accepted == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
 
 
 def test_rank_of_apparition_examples(lucas52, fib, naturals, eds14):
@@ -230,16 +267,8 @@ def assert_levels_match_scan(spec, p, prof):
         assert rank_of_apparition(spec, p**j) == level, (spec.selector, p, j)
 
 
-def _valid_lucas(params):
-    try:
-        LucasSpec(*params)
-    except ValueError:
-        return False
-    return True
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(_valid_lucas),
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(valid_lucas),
        st.sampled_from(PRIMES_TO_200), st.sampled_from([None, 4]))
 def test_chain_walker_matches_scan_lucas(params, p, kmax):
     spec = LucasSpec(*params)
@@ -299,7 +328,7 @@ def test_prime_factors():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(_valid_lucas),
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(valid_lucas),
        st.sampled_from(PRIMES_TO_2000))
 def test_lucas_rank_divisor_check_matches_scan(params, p):
     # Level 1 without a scan (odd p not dividing Q) against the Brent scan.

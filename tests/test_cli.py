@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 
 from cnomial import cli, engine, oracle
 from cnomial.apparition import classify
@@ -277,3 +278,53 @@ def test_classify_large_prime():
     code, out = run_cli("classify", "--seq", "naturals", "-p", "1000000007")
     assert code == 0
     assert out.startswith("p=1000000007 class=Ideal s=1 alpha_powers=[1000000007] ")
+
+
+def test_verify_wider_sweeps():
+    # Sweeps at larger k, each a fraction of a second with the convolution
+    # oracle and the quotient table.
+    for seq, p, k, nmax in [("fibonacci", "2", "6", "60"), ("lucas:5,-2", "7", "5", "80"),
+                            (f"file:{EDS150_PATH}", "3", "5", "60"),
+                            (f"file:{EDS150_PATH}", "5", "4", "60"),
+                            (f"file:{EDS150_PATH}", "7", "5", "60")]:
+        code, out = run_cli("verify", "--seq", seq, "-p", p, "-k", k, "--n-max", nmax)
+        assert (code, out) == (0, f"verified {seq} p={p} k={k} for all n <= {nmax}\n")
+
+
+def test_composite_p_rejected_everywhere(capsys):
+    # 3317044064679887385961981 = 1287836182261 * 2575672364521 passes the
+    # strong tests to every prime base up to 41.
+    p = "3317044064679887385961981"
+    for argv in (["eval", "--seq", "fibonacci", "-n", "5"],
+                 ["oracle", "--seq", "fibonacci", "-n", "5"],
+                 ["verify", "--seq", "fibonacci", "--n-max", "5"],
+                 ["classify", "--seq", "fibonacci"],
+                 ["vectors", "--seq", "fibonacci"],
+                 ["matrices"],
+                 ["export", "--seq", "fibonacci"],
+                 ["bench", "--seq", "fibonacci", "--n-grid", "5"]):
+        assert run_cli(*argv, "-p", p) == (1, ""), argv[0]
+        assert f"p must be prime, got {p}" in capsys.readouterr().err
+
+
+def test_oracle_work_is_refused_up_front(tmp_path, make_chain_spec, capsys):
+    # Sixteen levels that never reach ratio 2: unacceptable at the depth cap.
+    spec = make_chain_spec((1,) * 14 + (3, 3), 60)
+    path = tmp_path / "unacceptable.txt"
+    path.write_text("".join(f"{t}\n" for t in spec.terms))
+    for argv in (["oracle", "--seq", "fibonacci", "-p", "2", "-k", "4", "-n", "1000000"],
+                 ["verify", "--seq", "fibonacci", "-p", "2", "-k", "3",
+                  "--n-max", "1000000"],
+                 # An unacceptable prime is answered by enumeration.
+                 ["eval", "--seq", f"file:{path}", "-p", "2", "-k", "3", "-n", "10000000"]):
+        t0 = time.perf_counter()
+        code, out = run_cli(*argv)
+        assert time.perf_counter() - t0 < 1.0, argv[0]
+        assert (code, out) == (1, ""), argv[0]
+        assert " refused: " in capsys.readouterr().err
+    code, out = run_cli("bench", "--seq", "fibonacci", "-p", "2", "-k", "3",
+                        "--n-grid", "20,5000", "--repeats", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert "oracle_s=skipped" not in lines[0]
+    assert lines[1].startswith("N=5000 ") and "oracle_s=skipped ratio=n/a" in lines[1]

@@ -321,3 +321,69 @@ def test_indices_below_the_modulus(fib, lucas52, naturals, eds150, profile_of):
                 got = eval_generating_poly(spec, prof, k, r, force_path=force)
                 assert got.decomposition[3] == ()
                 assert got.polynomial == rep.evaluate(0, r), (spec.selector, p, force, k, r)
+
+
+@pytest.mark.parametrize("name, p, force, k, n_max", [
+    ("fib", 2, None, 2, 150), ("fib", 2, "acceptable", 4, 60), ("fib", 3, None, 3, 90),
+    ("lucas52", 7, None, 3, 130), ("lucas52", 7, "ideal", 2, 130),
+    ("lucas52", 7, "acceptable", 5, 70), ("naturals", 3, "ideal", 4, 80),
+    ("naturals", 3, "acceptable", 3, 80), ("eds150", 5, None, 4, 60),
+    ("eds150", 2, "acceptable", 2, 100),
+    # n_max below the modulus: no quotient past 0.
+    ("fib", 2, None, 3, 4), ("lucas52", 7, "ideal", 3, 0), ("eds150", 7, None, 5, 8),
+])
+def test_eval_sweep_matches_per_n(name, p, force, k, n_max, request, profile_of):
+    spec = request.getfixturevalue(name)
+    prof = profile_of(spec, p)
+    got = list(engine.eval_sweep(spec, prof, k, n_max, force_path=force))
+    want = [eval_generating_poly(spec, prof, k, n, force_path=force) for n in range(n_max + 1)]
+    assert got == want     # polynomial, path and decomposition
+
+
+def test_eval_sweep_other_classes_and_chains(make_chain_spec):
+    noapp = LucasSpec(1, 2)
+    unacc = make_chain_spec((1, 2, 6, 18, 54), 60)
+    acc = make_chain_spec((2, 10, 50, 150), 150, p=3)
+    for spec, p, kmax, k, n_max in [(noapp, 2, None, 3, 20), (unacc, 2, 5, 2, 25),
+                                    (acc, 3, None, 3, 110)]:
+        prof = classify(spec, p, kmax=kmax)
+        got = list(engine.eval_sweep(spec, prof, k, n_max))
+        assert got == [eval_generating_poly(spec, prof, k, n) for n in range(n_max + 1)]
+    with pytest.raises(ValueError):
+        next(engine.eval_sweep(noapp, classify(noapp, 2), 2, 5, force_path="acceptable"))
+
+
+def test_eval_sweep_builds_one_vector_per_residue(fib, profile_of, monkeypatch):
+    calls = []
+    real = engine.initvec.vector_for
+
+    def counted(profile, k, r, path):
+        calls.append(r)
+        return real(profile, k, r, path)
+
+    monkeypatch.setattr(engine.initvec, "vector_for", counted)
+    prof = profile_of(fib, 2)
+    assert len(list(engine.eval_sweep(fib, prof, 3, 200))) == 201
+    assert sorted(calls) == list(range(prof.stable_modulus))
+
+
+def test_eval_sweep_normalization_at_the_same_n(lucas52, profile_of, monkeypatch):
+    # A residue vector that is wrong for r = 5 only: the sweep yields every
+    # n before the first n = 5 (mod 8) and raises there, as per-n calls do.
+    real = engine.initvec.vector_for
+
+    def corrupt(profile, k, r, path):
+        u = real(profile, k, r, path)
+        if r != 5:
+            return u
+        vec = PolyVector.row(*(e + ValPoly.one() for e in u.vector.entries))
+        return type(u)(vec, modulus=u.modulus, residue=u.residue)
+
+    monkeypatch.setattr(engine.initvec, "vector_for", corrupt)
+    prof = profile_of(lucas52, 7)
+    sweep = engine.eval_sweep(lucas52, prof, 2, 40)
+    assert [next(sweep).decomposition[2] for _ in range(5)] == [0, 1, 2, 3, 4]
+    with pytest.raises(NormalizationError):
+        next(sweep)
+    with pytest.raises(NormalizationError):
+        eval_generating_poly(lucas52, prof, 2, 5)

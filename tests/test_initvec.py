@@ -17,6 +17,8 @@ from cnomial.initvec import (
 from cnomial.polyarith import ValPoly
 from cnomial.seqcore import LucasSpec
 
+from conftest import valid_lucas
+
 P = ValPoly
 
 
@@ -183,16 +185,8 @@ def test_carry_dp_matches_enumeration_on_chains(make_chain_spec, chain, p, k, da
             == _enumerated_vector(prof, k, r)), (chain, p, k, r)
 
 
-def _valid_lucas(params):
-    try:
-        LucasSpec(*params)
-    except ValueError:
-        return False
-    return True
-
-
 @settings(max_examples=80, deadline=None)
-@given(st.tuples(st.integers(-20, 20), st.integers(-20, 20)).filter(_valid_lucas),
+@given(st.tuples(st.integers(-20, 20), st.integers(-20, 20)).filter(valid_lucas),
        st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29]), st.integers(2, 4), st.data())
 def test_carry_dp_matches_enumeration_on_lucas(params, p, k, data):
     prof = classify(LucasSpec(*params), p)

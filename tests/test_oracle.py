@@ -2,10 +2,14 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cnomial import oracle
 from cnomial.apparition import valuation
 from cnomial.oracle import (
     StrongDivisibilityError,
+    WorkLimitError,
     brute_generating_poly,
     cmultinomial_bigint,
     cmultinomial_valuation,
@@ -14,10 +18,13 @@ from cnomial.oracle import (
     corial_valuation,
     corial_valuation_table,
     factorial_valuation,
+    generating_polys,
     multinomial_count_poly,
 )
 from cnomial.polyarith import ValPoly, row_vec_mul
-from cnomial.seqcore import FileBackedSpec, term, terms_prefix
+from cnomial.seqcore import FileBackedSpec, LucasSpec, term, terms_prefix
+
+from conftest import valid_lucas
 
 P = ValPoly
 
@@ -179,3 +186,85 @@ def test_acceptable_contraction_identity(fib, profile_of):
 
 def test_terms_prefix_matches_term(lucas52):
     assert terms_prefix(lucas52, 8) == [term(lucas52, n) for n in range(1, 9)]
+
+
+def _sweep_matches_enumeration(spec, p, k, n_max):
+    # Enumeration at every n it can afford quickly, and always at n_max.
+    table = corial_valuation_table(spec, p, n_max)
+    sweep = list(generating_polys(spec, p, k, n_max, table))
+    assert len(sweep) == n_max + 1
+    for n in range(n_max + 1):
+        if n == n_max or comb(n + k - 1, k - 1) <= 2000:
+            assert sweep[n] == brute_generating_poly(spec, p, k, n, _table=table), (p, k, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(valid_lucas),
+       st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(2, 5), st.integers(0, 30))
+def test_convolution_matches_enumeration_lucas(params, p, k, n_max):
+    _sweep_matches_enumeration(LucasSpec(*params), p, k, n_max)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_convolution_matches_enumeration_eds(eds150, p, k):
+    _sweep_matches_enumeration(eds150, p, k, 30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(1, 4), min_size=0, max_size=3),
+       st.sampled_from([2, 3, 5, 7]), st.integers(2, 5), st.integers(0, 30))
+def test_convolution_matches_enumeration_chains(make_chain_spec, first, factors, p, k, n_max):
+    chain = [first]
+    for f in factors:
+        chain.append(chain[-1] * f)
+    _sweep_matches_enumeration(make_chain_spec(tuple(chain), 40, p=p), p, k, n_max)
+
+
+def _literal_table(terms, p, n_max):
+    # Valuations of the literal term products C_1 * ... * C_n: for a
+    # sequence that is not strong divisibility these need not come from
+    # an apparition chain, and a C-binomial's valuation can go negative.
+    table = [0]
+    for t in terms[:n_max]:
+        table.append(table[-1] + valuation(t, p))
+    return table
+
+
+@pytest.mark.parametrize("terms, p, first_bad", [
+    (tuple(range(2, 40)), 2, 2),                  # C_n = n + 1: 3 / (2 * 2)
+    ((1, 2) + (1,) * 36, 2, 4),                   # only C_2 is even
+    ((1, 1, 3, 1, 1, 3, 1, 1, 1) + (1,) * 29, 3, 9),    # 3 | C_3, C_6 but not C_9
+])
+def test_non_sds_raises_at_the_same_first_n(terms, p, first_bad):
+    spec = FileBackedSpec(terms, name="not-sds")
+    n_max = 20
+    table = _literal_table(terms, p, n_max)
+    for k in (2, 3, 4):
+        sweep = generating_polys(spec, p, k, n_max, table)
+        for n in range(first_bad):
+            assert next(sweep) == brute_generating_poly(spec, p, k, n, _table=table)
+        with pytest.raises(StrongDivisibilityError):
+            next(sweep)
+        with pytest.raises(StrongDivisibilityError):
+            brute_generating_poly(spec, p, k, first_bad, _table=table)
+
+
+def test_work_limits_refuse_before_any_work(fib):
+    # Neither call may build a corial table of this size or start work.
+    with pytest.raises(WorkLimitError, match="enumeration refused"):
+        brute_generating_poly(fib, 2, 4, 10 ** 12)
+    with pytest.raises(WorkLimitError, match="sweep refused"):
+        generating_polys(fib, 2, 2, 10 ** 12)
+    assert issubclass(WorkLimitError, ValueError)
+    # The bounds themselves: the last size accepted and the first refused.
+    n = 4470                                   # C(4472, 2) = 9,997,156
+    assert comb(n + 2, 2) <= oracle.MAX_TUPLES < comb(n + 3, 2)
+    table = corial_valuation_table(fib, 2, n + 1)
+    with pytest.raises(WorkLimitError):
+        brute_generating_poly(fib, 2, 3, n + 1, _table=table)
+    n_max = 7071                               # 2 * 7071^2 = 99,997,082
+    assert 2 * n_max ** 2 <= oracle.MAX_SWEEP_STEPS < 2 * (n_max + 1) ** 2
+    with pytest.raises(WorkLimitError):
+        generating_polys(fib, 2, 2, n_max + 1)
+    assert next(generating_polys(fib, 2, 2, n_max, [0] * (n_max + 1))) == ValPoly.one()
