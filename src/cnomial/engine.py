@@ -188,11 +188,12 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int, n_max: int,
     the digits of q least significant first, v(q) = M(q mod p) * v(q // p)
     with v(0) = e^T, so the whole sweep costs one packed mat-vec per
     quotient q <= n_max // modulus, one ``vector_for`` per residue, and one
-    contraction per n.  The table is built as the sweep reaches each q.
-    Entry lam of v(q) is the naturals' component vector at q (see
-    ``oracle.component_vector``), whose coefficients sum to at most
-    C(q+k-1, k-1); one slot width for that bound at the largest q is exact
-    for every entry.  Other prime classes are evaluated per n.
+    packed contraction and one unpack per n.  The table is built as the
+    sweep reaches each q.  One slot width, for C(n_max+k-1, k-1), is exact
+    throughout: no coefficient is negative, entry lam of v(q) is the
+    naturals' component vector at q (see ``oracle.component_vector``),
+    whose coefficients sum to at most C(q+k-1, k-1), and the answer at n
+    sums to C(n+k-1, k-1).  Other prime classes are evaluated per n.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -205,21 +206,24 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int, n_max: int,
     p = profile.p
     route, modulus = _route(profile, force_path)
     path = _matrix_path(route)
-    width = slot_width(comb(n_max // modulus + k - 1, k - 1))
+    width = slot_width(comb(n_max + k - 1, k - 1))
     shifts = [row * width for row in range(k)]
     table = [[1] + [0] * (k - 1)]
-    vectors: dict[int, PolyVector] = {}
+    # terms[r]: (entry, shift, coefficient) for each monomial of u(r).
+    terms: dict[int, list[tuple[int, int, int]]] = {}
     for q in range(n_max // modulus + 1):
         if q:
             vec = table[q // p]
             table.append([sum(c * v for c, v in zip(row, vec) if c) << shift
                           for row, shift in zip(digit_counts(p, k, q % p), shifts)])
-        column = PolyVector.column(*(unpack(v, width) for v in table[q]))
+        column = table[q]
         digits = tuple(base_digits(q, p))
         for r in range(min(modulus, n_max - q * modulus + 1)):
-            if r not in vectors:
-                vectors[r] = initvec.vector_for(profile, k, r, route).vector
-            poly = row_vec_mul(vectors[r], column)
+            if r not in terms:
+                u = initvec.vector_for(profile, k, r, route).vector
+                terms[r] = [(lam, e * width, c) for lam, entry in enumerate(u.entries)
+                            for e, c in entry.items()]
+            poly = unpack(sum(c * column[lam] << shift for lam, shift, c in terms[r]), width)
             yield _checked(QueryResult(poly, path, (modulus, q, r, digits)),
                            k, q * modulus + r)
 

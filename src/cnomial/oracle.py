@@ -222,7 +222,8 @@ def _convolve(table: list[int], k: int, n_max: int) -> Iterator[ValPoly]:
     # parts[j][n] is P_(j+1)(n) packed into one integer, one slot of
     # ``width`` bits per exponent; no coefficient of P_j(n) exceeds
     # C(n+j-1, j-1), so the slots never overflow.  The term of part m is
-    # P_(j-1)(n-m) shifted left by width * (t(n) - t(m) - t(n-m)) bits.
+    # P_(j-1)(n-m) shifted left by width * (t(n) - t(m) - t(n-m)) bits; that
+    # shift is the same for m and n - m, so P_(j-1)(m) takes it in the sum.
     width = slot_width(comb(n_max + k - 1, k - 1))
     parts: list[list[int]] = [[] for _ in range(k)]
     for n in range(n_max + 1):
@@ -237,7 +238,7 @@ def _convolve(table: list[int], k: int, n_max: int) -> Iterator[ValPoly]:
             )
         parts[0].append(1)
         for lower, upper in zip(parts, parts[1:]):
-            upper.append(sum(map(lshift, lower[::-1], shifts)))
+            upper.append(sum(map(lshift, lower, shifts)))
         yield unpack(parts[-1][n], width)
 
 
