@@ -7,10 +7,11 @@ Each side is a cnomial checkout (default: this one, as ``change``); for
 every seed the sides run ``python3 perfbench/run.py`` one after another,
 and the order rotates from seed to seed, so no side always runs first.
 The record, ``BENCH_<date>_<short-sha>.json`` in --out-dir (default: the
-root of this checkout), holds the machine and Python, the command, every
-run's end-to-end metrics, each side's per-metric median and quartiles,
-and, with two or more sides, on how many seeds the last side beat the
-first (ties count for neither) in the direction BENCHMARK.json declares.
+root of this checkout), holds the machine and Python, the arguments (side
+names, not paths), every run's end-to-end metrics, each side's per-metric
+median and quartiles, and, with two or more sides, on how many seeds the
+last side beat the first (ties count for neither) in the direction
+BENCHMARK.json declares.
 <short-sha> is the git commit of the last side.  A run that fails, or
 reports ``correct: false``, stops the recording with exit code 1.
 """
@@ -103,7 +104,9 @@ def main() -> int:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
     record = {"date": datetime.date.today().isoformat(), "machine": machine(),
-              "command": sys.argv, "seconds": args.seconds, "workloads": {}}
+              "arguments": {"workloads": args.workload, "seeds": args.seeds,
+                            "seconds": args.seconds, "sides": [name for name, _ in sides]},
+              "workloads": {}}
     for workload in args.workload:
         runs: dict[str, list[dict]] = {name: [] for name, _ in sides}
         for i, seed in enumerate(seeds):
