@@ -1,11 +1,12 @@
 """Run perfbench for some workloads and seeds and record the medians.
 
     python3 scripts/bench_record.py --workload verify_sweep --seeds 11-20 \
-        [--seconds 20] [--side parent=PATH] [--side change=PATH] [--out-dir DIR]
+        [--side parent=PATH] [--side change=PATH] [--out-dir DIR]
 
 Each side is a cnomial checkout (default: this one, as ``change``); for
 every seed the sides run ``python3 perfbench/run.py`` one after another,
-and the order rotates from seed to seed, so no side always runs first.
+at the benchmark's own run length, and the order rotates from seed to
+seed, so no side always runs first.
 The record, ``BENCH_<date>_<short-sha>.json`` in --out-dir (default: the
 root of this checkout), holds the machine and Python, the arguments (side
 names, not paths), every run's end-to-end metrics, each side's per-metric
@@ -50,11 +51,11 @@ def machine() -> dict:
             "platform": platform.platform(), "nproc": os.cpu_count(), "cpu": cpu}
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int, timeout: float) -> dict:
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+           "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=seconds * 4 + 600)
+                          timeout=timeout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}:\n"
@@ -92,7 +93,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", required=True, help="e.g. 11-20 or 1,3,5")
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--side", action="append", default=[], metavar="NAME=PATH")
     ap.add_argument("--out-dir", default=ROOT)
     args = ap.parse_args()
@@ -101,18 +101,20 @@ def main() -> int:
     sides = [(name, os.path.abspath(path)) for name, path in sides]
     seeds = parse_seeds(args.seeds)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        benchmark = json.load(f)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    timeout = benchmark["run_seconds"] * 4 + 600
 
     record = {"date": datetime.date.today().isoformat(), "machine": machine(),
               "arguments": {"workloads": args.workload, "seeds": args.seeds,
-                            "seconds": args.seconds, "sides": [name for name, _ in sides]},
+                            "sides": [name for name, _ in sides]},
               "workloads": {}}
     for workload in args.workload:
         runs: dict[str, list[dict]] = {name: [] for name, _ in sides}
         for i, seed in enumerate(seeds):
             shift = i % len(sides)
             for name, path in sides[shift:] + sides[:shift]:
-                run = run_once(path, workload, seed, args.seconds)
+                run = run_once(path, workload, seed, timeout)
                 runs[name].append(run)
                 print(f"{workload} seed={seed} {name}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in run["metrics"].items()), flush=True)

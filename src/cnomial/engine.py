@@ -96,19 +96,16 @@ def _matrix_product_apply(p: int, k: int, digits: list[int]) -> PolyVector:
     # integer with the coefficient of x^i in bits [i*width, (i+1)*width)
     # (Kronecker substitution): scaling by c is one integer product and
     # x^row is one shift.
-    steps = [digit_counts(p, k, d) for d in reversed(digits)]
-    # The same recurrence at x = 1 gives each entry's coefficient sum.  No
-    # coefficient is negative, so none exceeds the largest sum seen, and
-    # slots that wide cannot overflow into each other.
-    vec = [1] + [0] * (k - 1)
-    top = 1
-    for rows in steps:
-        vec = [sum(c * m for c, m in zip(row, vec)) for row in rows]
-        top = max(top, *vec)
-    width = slot_width(top)
+    # Every intermediate column is v(q') for a leading part q' <= quot of
+    # the digits, whose coefficients sum to at most C(quot+k-1, k-1) (see
+    # ``eval_sweep``), so slots that wide cannot overflow into each other.
+    quot = 0
+    for d in reversed(digits):
+        quot = quot * p + d
+    width = slot_width(comb(quot + k - 1, k - 1))
     shifts = [row * width for row in range(k)]
     vec = [1] + [0] * (k - 1)
-    for rows in steps:
+    for rows in (digit_counts(p, k, d) for d in reversed(digits)):
         vec = [sum(c * v for c, v in zip(row, vec) if c) << shift
                for row, shift in zip(rows, shifts)]
     return PolyVector.column(*(unpack(v, width) for v in vec))
@@ -193,12 +190,19 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int, n_max: int,
     throughout: no coefficient is negative, entry lam of v(q) is the
     naturals' component vector at q (see ``oracle.component_vector``),
     whose coefficients sum to at most C(q+k-1, k-1), and the answer at n
-    sums to C(n+k-1, k-1).  Other prime classes are evaluated per n.
+    sums to C(n+k-1, k-1).  An unacceptable prime's sweep comes from
+    ``oracle.generating_polys``, whose work bound covers the whole sweep;
+    a prime with no apparition is evaluated per n.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if profile.prime_class is PrimeClass.UNACCEPTABLE and force_path is None:
+        polys = oracle.generating_polys(spec, profile.p, k, n_max)
+        for n, poly in enumerate(polys):
+            yield _checked(QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ())), k, n)
+        return
     if profile.prime_class not in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE):
         for n in range(n_max + 1):
             yield eval_generating_poly(spec, profile, k, n, force_path=force_path)

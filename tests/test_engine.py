@@ -353,6 +353,24 @@ def test_eval_sweep_other_classes_and_chains(make_chain_spec):
         next(engine.eval_sweep(noapp, classify(noapp, 2), 2, 5, force_path="acceptable"))
 
 
+def test_eval_sweep_unacceptable_does_not_enumerate(make_chain_spec, monkeypatch):
+    # The sweep at an unacceptable prime convolves; enumeration there would
+    # cost C(n+k, k) tuples over the whole sweep.
+    unacc = make_chain_spec((1, 2, 6, 18, 54), 60)
+    prof = classify(unacc, 2, kmax=5)
+    want = [eval_generating_poly(unacc, prof, 3, n) for n in range(41)]
+
+    def refuse(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(engine.oracle, "compositions", refuse)
+    assert list(engine.eval_sweep(unacc, prof, 3, 40)) == want
+    with pytest.raises(ValueError):
+        next(engine.eval_sweep(unacc, prof, 3, 40, force_path="acceptable"))
+    with pytest.raises(engine.oracle.WorkLimitError):
+        next(engine.eval_sweep(unacc, prof, 3, 10 ** 6))
+
+
 def test_eval_sweep_builds_one_vector_per_residue(fib, profile_of, monkeypatch):
     calls = []
     real = engine.initvec.vector_for
