@@ -327,16 +327,6 @@ def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
         yield a
 
 
-def sequence_valuation(spec: SequenceSpec, n: int, p: int) -> int:
-    """p-adic valuation of C_n, computed by modular reduction only."""
-    e = 0
-    pk = p
-    while seqcore.term_mod(spec, n, pk) == 0:
-        e += 1
-        pk *= p
-    return e
-
-
 def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
              tail: int = DEFAULT_TAIL) -> PrimeProfile:
     """Build the PrimeProfile of p for the given sequence.

@@ -50,8 +50,6 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate via the matrix product")
     _add_common(p_eval)
     p_eval.add_argument("-n", type=int, required=True, help="index N")
-    p_eval.add_argument("--modulus-path", choices=("ideal", "acceptable"), default=None,
-                        help="force the evaluation route on ideal primes")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_oracle = sub.add_parser("oracle", help="evaluate by brute-force enumeration")
@@ -64,7 +62,6 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="compare matrix product against brute force")
     _add_common(p_verify)
     p_verify.add_argument("--n-max", type=int, required=True)
-    p_verify.add_argument("--modulus-path", choices=("ideal", "acceptable"), default=None)
     p_verify.add_argument("--kmax", type=int, default=None,
                           help="cap on classification chain depth")
     p_verify.set_defaults(func=_cmd_verify)
@@ -79,7 +76,6 @@ def build_parser() -> _Parser:
     _add_common(p_vectors)
     p_vectors.add_argument("-r", type=int, default=None,
                            help="single residue (default: all residues)")
-    p_vectors.add_argument("--modulus-path", choices=("ideal", "acceptable"), default=None)
     p_vectors.set_defaults(func=_cmd_vectors)
 
     p_matrices = sub.add_parser("matrices", help="print the digit matrices")
@@ -90,7 +86,6 @@ def build_parser() -> _Parser:
 
     p_export = sub.add_parser("export", help="export the linear representation as JSON")
     _add_common(p_export)
-    p_export.add_argument("--modulus-path", choices=("ideal", "acceptable"), default=None)
     p_export.add_argument("--out", default=None, help="output path (default stdout)")
     p_export.set_defaults(func=_cmd_export)
 
@@ -131,8 +126,7 @@ def _cmd_eval(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
-    result = engine.eval_generating_poly(spec, profile, args.k, args.n,
-                                         force_path=args.modulus_path)
+    result = engine.eval_generating_poly(spec, profile, args.k, args.n)
     if args.format == "json":
         print(_poly_json(result.polynomial), file=out)
     else:
@@ -159,7 +153,7 @@ def _cmd_verify(args, out) -> int:
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p, kmax=args.kmax)
     wants = oracle.generating_polys(spec, args.p, args.k, args.n_max)
-    gots = engine.eval_sweep(spec, profile, args.k, args.n_max, force_path=args.modulus_path)
+    gots = engine.eval_sweep(spec, profile, args.k, args.n_max)
     for n, (got, want) in enumerate(zip(gots, wants)):
         if got.polynomial != want:
             print(f"divergence at n={n}: matrix {got.polynomial} vs oracle {want}", file=out)
@@ -187,15 +181,14 @@ def _cmd_vectors(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
-    route = args.modulus_path or "auto"
-    probe = initvec.vector_for(profile, args.k, 0, route)
-    modulus = probe.modulus
+    initvec.vector_for(profile, args.k, 0)  # names the prime class if it has no vector
+    modulus = profile.stable_modulus
     residues = [args.r] if args.r is not None else list(range(modulus))
     rows = {}
     for r in residues:
         if not 0 <= r < modulus:
             raise _UsageError(f"residue {r} not in [0, {modulus})")
-        rows[r] = initvec.vector_for(profile, args.k, r, route).vector
+        rows[r] = initvec.vector_for(profile, args.k, r)
     if args.format == "json":
         payload = {
             "p": args.p,
@@ -239,7 +232,7 @@ def _cmd_export(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
-    rep = engine.linear_representation(profile, args.k, force_path=args.modulus_path)
+    rep = engine.linear_representation(profile, args.k)
     text = json.dumps(rep.to_json_dict(), indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

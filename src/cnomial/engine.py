@@ -111,21 +111,8 @@ def _matrix_product_apply(p: int, k: int, digits: list[int]) -> PolyVector:
     return PolyVector.column(*(unpack(v, width) for v in vec))
 
 
-def _route(profile: PrimeProfile, force_path: str | None) -> tuple[str, int]:
-    """The matrix route for an ideal or acceptable prime, and its modulus."""
-    route = force_path if force_path is not None else (
-        initvec.IDEAL_PATH if profile.prime_class is PrimeClass.IDEAL
-        else initvec.ACCEPTABLE_PATH
-    )
-    if route == initvec.IDEAL_PATH:
-        return route, profile.alpha
-    if route == initvec.ACCEPTABLE_PATH:
-        return route, profile.stable_modulus
-    raise ValueError(f"unknown path {route!r}")
-
-
-def _matrix_path(route: str) -> EvalPath:
-    return EvalPath.IDEAL if route == initvec.IDEAL_PATH else EvalPath.ACCEPTABLE
+def _matrix_path(profile: PrimeProfile) -> EvalPath:
+    return EvalPath.IDEAL if profile.prime_class is PrimeClass.IDEAL else EvalPath.ACCEPTABLE
 
 
 def _checked(result: QueryResult, k: int, n: int) -> QueryResult:
@@ -139,15 +126,10 @@ def _checked(result: QueryResult, k: int, n: int) -> QueryResult:
     return result
 
 
-def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int, n: int,
-                         *, force_path: str | None = None) -> QueryResult:
+def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int,
+                         n: int) -> QueryResult:
     """Polynomial counting k-part compositions of n by the p-adic valuation
-    of their generalized multinomial coefficient.
-
-    ``force_path`` ("ideal" or "acceptable") overrides the automatic route
-    for classified primes; the acceptable route is valid for ideal primes
-    too and must give the same polynomial.
-    """
+    of their generalized multinomial coefficient."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < 0:
@@ -155,33 +137,29 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int, n: i
     cls = profile.prime_class
 
     if cls is PrimeClass.NO_APPARITION:
-        if force_path is not None:
-            raise ValueError(f"p={profile.p} has no apparition; no matrix path applies")
         result = QueryResult(ValPoly({0: comb(n + k - 1, k - 1)}), EvalPath.TRIVIAL,
                              (1, n, 0, ()))
     elif cls is PrimeClass.UNACCEPTABLE:
-        if force_path is not None:
-            raise ValueError(f"p={profile.p} is unacceptable; no matrix path applies")
         poly = oracle.brute_generating_poly(spec, profile.p, k, n)
         result = QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ()))
     else:
-        route, modulus = _route(profile, force_path)
+        modulus = profile.stable_modulus
         quot, r = decompose(n, modulus)
-        u = initvec.vector_for(profile, k, r, route)
+        u = initvec.vector_for(profile, k, r)
         digits = base_digits(quot, profile.p)
         v = _matrix_product_apply(profile.p, k, digits)
-        poly = row_vec_mul(u.vector, v)
-        result = QueryResult(poly, _matrix_path(route), (modulus, quot, r, tuple(digits)))
+        poly = row_vec_mul(u, v)
+        result = QueryResult(poly, _matrix_path(profile), (modulus, quot, r, tuple(digits)))
     return _checked(result, k, n)
 
 
-def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int, n_max: int,
-               *, force_path: str | None = None) -> Iterator[QueryResult]:
-    """Yield ``eval_generating_poly(spec, profile, k, n, force_path=...)`` for
+def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
+               n_max: int) -> Iterator[QueryResult]:
+    """Yield ``eval_generating_poly(spec, profile, k, n)`` for
     n = 0, 1, ..., n_max in turn, with the same paths, decompositions and
     errors, each raised at the n where the per-n call raises it.
 
-    On the matrix routes the columns come from a quotient table: reading
+    On the matrix paths the columns come from a quotient table: reading
     the digits of q least significant first, v(q) = M(q mod p) * v(q // p)
     with v(0) = e^T, so the whole sweep costs one packed mat-vec per
     quotient q <= n_max // modulus, one ``vector_for`` per residue, and one
@@ -198,18 +176,18 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int, n_max: int,
         raise ValueError(f"k must be >= 2, got {k}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if profile.prime_class is PrimeClass.UNACCEPTABLE and force_path is None:
+    if profile.prime_class is PrimeClass.UNACCEPTABLE:
         polys = oracle.generating_polys(spec, profile.p, k, n_max)
         for n, poly in enumerate(polys):
             yield _checked(QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ())), k, n)
         return
     if profile.prime_class not in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE):
         for n in range(n_max + 1):
-            yield eval_generating_poly(spec, profile, k, n, force_path=force_path)
+            yield eval_generating_poly(spec, profile, k, n)
         return
     p = profile.p
-    route, modulus = _route(profile, force_path)
-    path = _matrix_path(route)
+    modulus = profile.stable_modulus
+    path = _matrix_path(profile)
     width = slot_width(comb(n_max + k - 1, k - 1))
     shifts = [row * width for row in range(k)]
     table = [[1] + [0] * (k - 1)]
@@ -224,7 +202,7 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int, n_max: int,
         digits = tuple(base_digits(q, p))
         for r in range(min(modulus, n_max - q * modulus + 1)):
             if r not in terms:
-                u = initvec.vector_for(profile, k, r, route).vector
+                u = initvec.vector_for(profile, k, r)
                 terms[r] = [(lam, e * width, c) for lam, entry in enumerate(u.entries)
                             for e, c in entry.items()]
             poly = unpack(sum(c * column[lam] << shift for lam, shift, c in terms[r]), width)
@@ -274,13 +252,15 @@ def linear_representation(profile: PrimeProfile, k: int,
                           *, force_path: str | None = None) -> LinearRepresentation:
     """Export the residue vectors and digit matrices witnessing that the
     polynomial subsequences indexed by each residue are p-regular."""
+    # perfbench/workloads.py passes force_path="acceptable", which selects nothing.
+    if force_path not in (None, "acceptable"):
+        raise ValueError(f"unknown path {force_path!r}")
     if profile.prime_class not in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE):
         raise ValueError(
             f"p={profile.p} is {profile.prime_class.value}; no linear representation exists"
         )
-    route, modulus = _route(profile, force_path)
-    vectors = {r: initvec.vector_for(profile, k, r, route).vector
-               for r in range(modulus)}
+    modulus = profile.stable_modulus
+    vectors = {r: initvec.vector_for(profile, k, r) for r in range(modulus)}
     matrices = {d: m for d, m in enumerate(digit_matrices(profile.p, k))}
     return LinearRepresentation(
         p=profile.p,

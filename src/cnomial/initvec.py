@@ -1,43 +1,26 @@
 """Sequence-dependent initial row vectors for the matrix-product evaluation.
 
 The digit matrices are universal; everything the sequence contributes to a
-query enters through one row vector indexed by the residue r of the query
-index modulo alpha(p) (ideal primes) or alpha(p^s) (acceptable primes).
+query enters through one row vector u(r) indexed by the residue r of the
+query index modulo alpha(p^s).  Each k-tuple of residues below alpha(p^s)
+summing to r + lam*alpha(p^s) contributes to entry lam a power of x given by
+its carry exponent (``f_value``), a count of carries in the mixed radix
+alpha(p), alpha(p^2)/alpha(p), ..., alpha(p^s)/alpha(p^(s-1)).  The tuples
+are never enumerated: the vector is a product of s small carry-transfer
+steps, one per digit of r in that radix, just as the digit matrices carry
+across the base-p digits of the quotient.
 
-For ideal primes the vector entries have a closed form: entry lam is
-x^{(s-1)*lam} times the number of k-tuples of residues below alpha(p)
-summing to r + lam*alpha(p).  For acceptable primes each residue tuple
-contributes a power of x given by its carry exponent (``f_value``), a
-count of carries in the mixed radix alpha(p), alpha(p^2)/alpha(p), ...,
-alpha(p^s)/alpha(p^(s-1)).  The tuples are never enumerated: the vector is
-a product of s small carry-transfer steps, one per digit of r in that
-radix, just as the digit matrices carry across the base-p digits of the
-quotient.
+For an ideal prime alpha(p^s) = alpha(p), so every level past the first has
+radix 1 and only shifts carry lam by x^lam: entry lam is x^((s-1)*lam) times
+the number of k-tuples below alpha(p) summing to r + lam*alpha(p), the
+closed form as a special case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .apparition import PrimeClass, PrimeProfile
 from .polyarith import PolyVector, ValPoly
 from .transfer import digit_sum_count
-
-IDEAL_PATH = "ideal"
-ACCEPTABLE_PATH = "acceptable"
-
-
-@dataclass(frozen=True)
-class InitialVector:
-    """Row vector for residue r, together with the modulus that defined r."""
-
-    vector: PolyVector
-    modulus: int
-    residue: int
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError(f"residue {self.residue} not in [0, {self.modulus})")
 
 
 def _require_class(profile: PrimeProfile, allowed: tuple[PrimeClass, ...]) -> None:
@@ -46,36 +29,6 @@ def _require_class(profile: PrimeProfile, allowed: tuple[PrimeClass, ...]) -> No
             f"p={profile.p} is {profile.prime_class.value}; "
             f"this vector needs {' or '.join(c.value for c in allowed)}"
         )
-
-
-def ideal_binomial_vector(profile: PrimeProfile, r: int) -> InitialVector:
-    """[r+1, (alpha(p)-r-1) * x^(s-1)] for an ideal prime, modulus alpha(p)."""
-    _require_class(profile, (PrimeClass.IDEAL,))
-    alpha, s = profile.alpha, profile.s
-    if not 0 <= r < alpha:
-        raise ValueError(f"residue {r} not in [0, {alpha})")
-    vec = PolyVector.row(ValPoly({0: r + 1}), ValPoly({s - 1: alpha - r - 1}))
-    return InitialVector(vec, modulus=alpha, residue=r)
-
-
-def ideal_multinomial_vector(profile: PrimeProfile, k: int, r: int) -> InitialVector:
-    """Length-k row for an ideal prime, modulus alpha(p).
-
-    Entry lam is x^{(s-1)*lam} with coefficient
-    sum_{j=0..lam} (-1)^j C(k, j) C(r + (lam-j)*alpha + k - 1, k - 1),
-    the count of k-tuples in [0, alpha)^k summing to r + lam*alpha.
-    """
-    _require_class(profile, (PrimeClass.IDEAL,))
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    alpha, s = profile.alpha, profile.s
-    if not 0 <= r < alpha:
-        raise ValueError(f"residue {r} not in [0, {alpha})")
-    entries = [
-        ValPoly({(s - 1) * lam: digit_sum_count(k, alpha, r + lam * alpha)})
-        for lam in range(k)
-    ]
-    return InitialVector(PolyVector.row(*entries), modulus=alpha, residue=r)
 
 
 def f_value(profile: PrimeProfile, k: int, lam: int, r: int,
@@ -107,13 +60,12 @@ def f_value(profile: PrimeProfile, k: int, lam: int, r: int,
     return value
 
 
-def acceptable_vector(profile: PrimeProfile, k: int, r: int) -> InitialVector:
-    """Length-k row for an acceptable prime, modulus alpha(p^s).
+def vector_for(profile: PrimeProfile, k: int, r: int) -> PolyVector:
+    """Length-k row u(r) for an ideal or acceptable prime, r in [0, alpha(p^s)).
 
     Entry lam sums x^(f - lam) over all k-tuples of residues below
     alpha(p^s) summing to r + lam*alpha(p^s), with f the carry exponent of
-    the tuple (``f_value``).  Ideal primes are accepted too; the result then
-    agrees with ideal_multinomial_vector.
+    the tuple (``f_value``).
 
     f - lam is the number of carries c_1 + ... + c_(s-1) when the tuple is
     added in the mixed radix b_1 = alpha(p), b_j = alpha(p^j)/alpha(p^(j-1)),
@@ -155,22 +107,8 @@ def acceptable_vector(profile: PrimeProfile, k: int, r: int) -> InitialVector:
             nxt.append(acc)
         carries = nxt
         place = a
-    entries = [ValPoly(poly) for poly in carries]
-    return InitialVector(PolyVector.row(*entries), modulus=base, residue=r)
+    return PolyVector.row(*(ValPoly(poly) for poly in carries))
 
 
-def vector_for(profile: PrimeProfile, k: int, r: int,
-               path: str = "auto") -> InitialVector:
-    """Initial vector for the requested evaluation path.
-
-    ``auto`` picks the ideal closed form for ideal primes and the carry
-    product for acceptable ones; ``ideal`` and ``acceptable`` force a path
-    (the acceptable path is valid for ideal primes as well).
-    """
-    if path == "auto":
-        path = IDEAL_PATH if profile.prime_class is PrimeClass.IDEAL else ACCEPTABLE_PATH
-    if path == IDEAL_PATH:
-        return ideal_multinomial_vector(profile, k, r)
-    if path == ACCEPTABLE_PATH:
-        return acceptable_vector(profile, k, r)
-    raise ValueError(f"unknown path {path!r}")
+# perfbench/probes.py times the builder under this name.
+acceptable_vector = vector_for

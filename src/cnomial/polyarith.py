@@ -227,20 +227,3 @@ def row_vec_mul(u: PolyVector, v: PolyVector) -> ValPoly:
     for a, b in zip(u.entries, v.entries):
         acc = acc + a * b
     return acc
-
-
-def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Matrix times matrix."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    k = a.dim
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            acc = ValPoly.zero()
-            for t in range(k):
-                acc = acc + a.entries[i][t] * b.entries[t][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows))

@@ -36,16 +36,6 @@ def digit_sum_count(k: int, base: int, t: int) -> int:
     return total
 
 
-def binomial_matrix(p: int, d: int) -> PolyMatrix:
-    """The 2x2 digit matrix [[d+1, p-d-1], [d*x, (p-d)*x]]."""
-    if not 0 <= d < p:
-        raise ValueError(f"digit {d} out of range for base {p}")
-    return PolyMatrix((
-        (ValPoly({0: d + 1}), ValPoly({0: p - d - 1})),
-        (ValPoly({1: d}), ValPoly({1: p - d})),
-    ))
-
-
 @lru_cache(maxsize=None)
 def digit_counts(p: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The integers c[row][col] = N(d - row + col*p) of the digit-d matrix,
@@ -68,7 +58,7 @@ def digit_counts(p: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
 def multinomial_matrix(p: int, k: int, d: int) -> PolyMatrix:
     """The k x k digit matrix with entry (row, col) = x^row * N(d - row + col*p).
 
-    For k = 2 this reproduces binomial_matrix entry for entry.  The entry
+    For k = 2 this is [[d+1, p-d-1], [d*x, (p-d)*x]].  The entry
     formula is pinned down by the advancement identity v(p*n + d) = M(d) * v(n)
     on the columns of tuple-counting polynomials, which the test suite checks
     against an independent factorial-valuation oracle.

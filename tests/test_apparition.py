@@ -16,12 +16,19 @@ from cnomial.apparition import (
     classify_lucas_fast,
     is_prime,
     rank_of_apparition,
-    sequence_valuation,
     valuation,
 )
 from cnomial.seqcore import FileBackedSpec, LucasSpec, NaturalsSpec
 
 from conftest import valid_lucas
+
+
+def sequence_valuation(spec, n, p):
+    # v_p(C_n) by modular reduction only.
+    e, pk = 0, p
+    while seqcore.term_mod(spec, n, pk) == 0:
+        e, pk = e + 1, pk * p
+    return e
 
 
 def test_valuation_examples():

@@ -32,14 +32,15 @@ def test_eval_golden_json():
     assert out == '{"0":"4","1":"2","3":"4","4":"4"}\n'
 
 
-def test_eval_modulus_path_flag():
-    base = run_cli("eval", "--seq", "lucas:5,-2", "-p", "7", "-n", "30")
-    forced = run_cli("eval", "--seq", "lucas:5,-2", "-p", "7", "-n", "30",
-                     "--modulus-path", "acceptable")
-    assert base == forced
-    code, _ = run_cli("eval", "--seq", "fibonacci", "-p", "2", "-n", "5",
-                      "--modulus-path", "ideal")
-    assert code == 1  # p=2 is acceptable, not ideal, for the Fibonacci terms
+def test_modulus_path_is_unrecognized(capsys):
+    # The modulus is always alpha(p^s); no option picks a route.
+    for argv in (["eval", "-n", "30"], ["verify", "--n-max", "30"], ["vectors"], ["export"]):
+        code, out = run_cli(*argv, "--seq", "lucas:5,-2", "-p", "7",
+                            "--modulus-path", "acceptable")
+        err = capsys.readouterr().err
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage error: unrecognized arguments: --modulus-path"), argv
+        assert "Traceback" not in err
 
 
 def test_oracle_subcommand_matches_eval():
@@ -106,6 +107,17 @@ def test_vectors_table():
     data = json.loads(out)
     assert data["modulus"] == 6
     assert data["vectors"] == {"1": [{"0": "2"}, {"1": "2", "2": "2"}]}
+
+
+def test_vectors_name_the_prime_class(tmp_path, make_chain_spec, capsys):
+    # Ratios 1 forever never reach p: unacceptable at the default depth.
+    spec = make_chain_spec((2,) * 16, 40)
+    path = tmp_path / "ratio_one.txt"
+    path.write_text("".join(f"{t}\n" for t in spec.terms))
+    for seq, cls in [("lucas:1,2", "NoApparition"), (f"file:{path}", "Unacceptable")]:
+        assert run_cli("vectors", "--seq", seq, "-p", "2") == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: p=2 is {cls}; this vector needs Ideal or Acceptable\n")
 
 
 def test_matrices_output():

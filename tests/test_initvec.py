@@ -7,39 +7,37 @@ from hypothesis import strategies as st
 from cnomial import initvec
 from cnomial.apparition import PrimeClass, PrimeProfile, classify
 from cnomial.engine import linear_representation
-from cnomial.initvec import (
-    acceptable_vector,
-    f_value,
-    ideal_binomial_vector,
-    ideal_multinomial_vector,
-    vector_for,
-)
-from cnomial.polyarith import ValPoly
+from cnomial.initvec import f_value, vector_for
+from cnomial.polyarith import PolyVector, ValPoly
 from cnomial.seqcore import LucasSpec
+from cnomial.transfer import digit_sum_count
 
 from conftest import valid_lucas
 
 P = ValPoly
 
 
+def ideal_multinomial_vector(profile, k, r):
+    # The closed form at an ideal prime, modulus alpha(p): entry lam is
+    # x^((s-1)*lam) times the number of k-tuples in [0, alpha)^k summing to
+    # r + lam*alpha.
+    assert profile.prime_class is PrimeClass.IDEAL
+    alpha, s = profile.alpha, profile.s
+    return PolyVector.row(*(ValPoly({(s - 1) * lam: digit_sum_count(k, alpha, r + lam * alpha)})
+                            for lam in range(k)))
+
+
 def test_ideal_binomial_vector_examples(lucas52, eds14, profile_of):
+    # k = 2 at an ideal prime: [r+1, (alpha(p)-r-1) * x^(s-1)].
     prof7 = profile_of(lucas52, 7)
-    iv = ideal_binomial_vector(prof7, 4)
-    assert iv.vector.entries == (P({0: 5}), P({1: 3}))
-    assert iv.modulus == 8 and iv.residue == 4
+    assert prof7.stable_modulus == 8
+    assert vector_for(prof7, 2, 4).entries == (P({0: 5}), P({1: 3}))
 
     prof2 = profile_of(eds14, 2)
-    assert ideal_binomial_vector(prof2, 2).vector.entries == (P({0: 3}), P({0: 2}))
+    assert vector_for(prof2, 2, 2).entries == (P({0: 3}), P({0: 2}))
 
-    edge = ideal_binomial_vector(prof7, 7)  # r = alpha - 1
-    assert edge.vector.entries == (P({0: 8}), ValPoly.zero())
-
-
-def test_ideal_binomial_vector_errors(lucas52, fib, profile_of):
-    with pytest.raises(ValueError):
-        ideal_binomial_vector(profile_of(lucas52, 7), 8)
-    with pytest.raises(ValueError):
-        ideal_binomial_vector(profile_of(fib, 2), 0)  # acceptable, not ideal
+    edge = vector_for(prof7, 2, 7)  # r = alpha - 1
+    assert edge.entries == (P({0: 8}), ValPoly.zero())
 
 
 def test_f_value_fibonacci_table(fib, profile_of):
@@ -72,19 +70,10 @@ def test_f_value_validation(fib, profile_of):
         f_value(prof, 2, 1, -2, (1, 3))  # residue out of range
 
 
-def test_ideal_multinomial_k2_matches_binomial(lucas52, naturals, eds14, profile_of):
-    for spec, p in [(lucas52, 7), (naturals, 2), (naturals, 3), (naturals, 5), (eds14, 2)]:
-        prof = profile_of(spec, p)
-        for r in range(prof.alpha):
-            assert (ideal_multinomial_vector(prof, 2, r).vector
-                    == ideal_binomial_vector(prof, r).vector), (spec.selector, p, r)
-
-
 def test_ideal_multinomial_vector_examples(naturals, profile_of):
     prof = profile_of(naturals, 2)
-    iv = ideal_multinomial_vector(prof, 3, 1)
-    assert iv.vector.entries == (P({0: 3}), P({0: 1}), ValPoly.zero())
-    assert ideal_multinomial_vector(prof, 4, 0).vector.entries[0] == ValPoly.one()
+    assert vector_for(prof, 3, 1).entries == (P({0: 3}), P({0: 1}), ValPoly.zero())
+    assert vector_for(prof, 4, 0).entries[0] == ValPoly.one()
 
 
 def test_acceptable_vector_fibonacci_table(fib, profile_of):
@@ -98,9 +87,8 @@ def test_acceptable_vector_fibonacci_table(fib, profile_of):
         5: (P({0: 6}), ValPoly.zero()),
     }
     for r, entries in expected.items():
-        iv = acceptable_vector(prof, 2, r)
-        assert iv.vector.entries == entries, r
-        assert iv.modulus == 6
+        assert vector_for(prof, 2, r).entries == entries, r
+    assert prof.stable_modulus == 6
 
 
 def test_acceptable_vector_count_normalization(fib, naturals, profile_of):
@@ -110,8 +98,7 @@ def test_acceptable_vector_count_normalization(fib, naturals, profile_of):
         prof = profile_of(spec, p)
         base = prof.stable_modulus
         for r in range(base):
-            iv = acceptable_vector(prof, k, r)
-            for lam, entry in enumerate(iv.vector.entries):
+            for lam, entry in enumerate(vector_for(prof, k, r).entries):
                 count = sum(1 for t in product(range(base), repeat=k)
                             if sum(t) == r + lam * base)
                 assert entry.eval_at_one() == count, (spec.selector, p, k, r, lam)
@@ -122,8 +109,8 @@ def test_acceptable_vector_specializes_to_ideal(lucas52, naturals, eds14, profil
         prof = profile_of(spec, p)
         for k in (2, 3, 4, 5):
             for r in range(prof.alpha):
-                assert (acceptable_vector(prof, k, r).vector
-                        == ideal_multinomial_vector(prof, k, r).vector), (spec.selector, k, r)
+                assert (vector_for(prof, k, r)
+                        == ideal_multinomial_vector(prof, k, r)), (spec.selector, k, r)
 
 
 def test_acceptable_vector_rejects_corrupt_profile():
@@ -132,19 +119,21 @@ def test_acceptable_vector_rejects_corrupt_profile():
     broken = PrimeProfile(p=2, prime_class=PrimeClass.ACCEPTABLE,
                           alpha_powers=(4, 6), s=2, ratios=(4, 2), evidence_kmax=2)
     with pytest.raises(ArithmeticError):
-        acceptable_vector(broken, 2, 3)
+        vector_for(broken, 2, 3)
 
 
-def test_vector_for_dispatch(fib, lucas52, profile_of):
-    fib2 = profile_of(fib, 2)
-    assert vector_for(fib2, 2, 1, "auto").vector == acceptable_vector(fib2, 2, 1).vector
+def test_vector_for_errors(fib, lucas52, profile_of, make_chain_spec):
     prof7 = profile_of(lucas52, 7)
-    assert vector_for(prof7, 2, 4, "auto").vector == ideal_multinomial_vector(prof7, 2, 4).vector
-    assert vector_for(prof7, 2, 4, "acceptable").modulus == 8
-    with pytest.raises(ValueError):
-        vector_for(fib2, 2, 1, "ideal")
-    with pytest.raises(ValueError):
-        vector_for(prof7, 2, 4, "sideways")
+    for r in (-1, 8):  # residues modulo alpha(7) = 8
+        with pytest.raises(ValueError, match="residue"):
+            vector_for(prof7, 2, r)
+    with pytest.raises(ValueError, match="k must be"):
+        vector_for(profile_of(fib, 2), 1, 0)
+    noapp = classify(LucasSpec(1, 2), 2)
+    unacc = classify(make_chain_spec((1, 2, 6, 18, 54), 60), 2, kmax=5)
+    for prof in (noapp, unacc):
+        with pytest.raises(ValueError, match="this vector needs Ideal or Acceptable"):
+            vector_for(prof, 2, 0)
 
 
 def _enumerated_vector(profile, k, r):
@@ -181,8 +170,7 @@ def test_carry_dp_matches_enumeration_on_chains(make_chain_spec, chain, p, k, da
     prof = classify(spec, p, kmax=len(chain) + 1)
     assert prof.prime_class in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE)
     r = data.draw(st.integers(0, prof.stable_modulus - 1))
-    assert (acceptable_vector(prof, k, r).vector.entries
-            == _enumerated_vector(prof, k, r)), (chain, p, k, r)
+    assert vector_for(prof, k, r).entries == _enumerated_vector(prof, k, r), (chain, p, k, r)
 
 
 @settings(max_examples=80, deadline=None)
@@ -193,8 +181,10 @@ def test_carry_dp_matches_enumeration_on_lucas(params, p, k, data):
     assume(prof.prime_class in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE))
     assume(prof.stable_modulus <= 30)
     r = data.draw(st.integers(0, prof.stable_modulus - 1))
-    assert (acceptable_vector(prof, k, r).vector.entries
-            == _enumerated_vector(prof, k, r)), (params, p, k, r)
+    u = vector_for(prof, k, r)
+    assert u.entries == _enumerated_vector(prof, k, r), (params, p, k, r)
+    if prof.prime_class is PrimeClass.IDEAL:
+        assert u == ideal_multinomial_vector(prof, k, r), (params, p, k, r)
 
 
 def test_acceptable_route_cost_at_modulus_50(make_chain_spec, monkeypatch):
@@ -215,7 +205,7 @@ def test_acceptable_route_cost_at_modulus_50(make_chain_spec, monkeypatch):
     for name in calls:
         monkeypatch.setattr(initvec, name, counted(name))
     k, m, s = 4, prof.stable_modulus, prof.s
-    rep = linear_representation(prof, k, force_path="acceptable")
+    rep = linear_representation(prof, k)
     assert len(rep.residue_vectors) == m
     assert calls["f_value"] == 0
     assert 0 < calls["digit_sum_count"] <= m * s * k * k

@@ -171,7 +171,7 @@ def test_residue_split_identity_ideal(lucas52, eds150, naturals, profile_of):
 def test_acceptable_contraction_identity(fib, profile_of):
     # Contracting the acceptable initial vector with the component column
     # reproduces the brute-force count at alpha(p^s) * n' + r.
-    from cnomial.initvec import acceptable_vector
+    from cnomial.initvec import vector_for
 
     prof = profile_of(fib, 2)
     base = prof.stable_modulus
@@ -179,8 +179,7 @@ def test_acceptable_contraction_identity(fib, profile_of):
         table = corial_valuation_table(fib, 2, 60)
         for n in range(61):
             nprime, r = divmod(n, base)
-            u = acceptable_vector(prof, k, r)
-            got = row_vec_mul(u.vector, component_vector(2, k, nprime))
+            got = row_vec_mul(vector_for(prof, k, r), component_vector(2, k, nprime))
             assert got == brute_generating_poly(fib, 2, k, n, _table=table), (k, n)
 
 

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 from hypothesis import given
@@ -9,7 +8,6 @@ from cnomial.polyarith import (
     PolyMatrix,
     PolyVector,
     ValPoly,
-    mat_mul,
     mat_vec_mul,
     row_vec_mul,
 )
@@ -174,22 +172,3 @@ def test_distributivity(a, b, c):
 def test_eval_at_one_is_homomorphism(a, b):
     assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()
     assert (a + b).eval_at_one() == a.eval_at_one() + b.eval_at_one()
-
-
-def _random_matrix(rng, k):
-    return PolyMatrix.from_rows([
-        [ValPoly({rng.randrange(3): rng.randrange(4)}) for _ in range(k)]
-        for _ in range(k)
-    ])
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_mat_vec_associativity(k):
-    rng = random.Random(20240 + k)
-    for _ in range(25):
-        a = _random_matrix(rng, k)
-        b = _random_matrix(rng, k)
-        v = PolyVector.column(
-            *(ValPoly({rng.randrange(3): rng.randrange(4)}) for _ in range(k))
-        )
-        assert mat_vec_mul(mat_mul(a, b), v) == mat_vec_mul(a, mat_vec_mul(b, v))

@@ -5,10 +5,20 @@ import pytest
 
 from cnomial.engine import base_digits
 from cnomial.oracle import component_vector, digit_sum, factorial_valuation
-from cnomial.polyarith import PolyVector, ValPoly, mat_vec_mul
-from cnomial.transfer import binomial_matrix, digit_sum_count, multinomial_matrix
+from cnomial.polyarith import PolyMatrix, PolyVector, ValPoly, mat_vec_mul
+from cnomial.transfer import digit_sum_count, multinomial_matrix
 
 P = ValPoly
+
+
+def binomial_matrix(p, d):
+    # The k = 2 digit matrix written out: [[d+1, p-d-1], [d*x, (p-d)*x]].
+    if not 0 <= d < p:
+        raise ValueError(f"digit {d} out of range for base {p}")
+    return PolyMatrix((
+        (ValPoly({0: d + 1}), ValPoly({0: p - d - 1})),
+        (ValPoly({1: d}), ValPoly({1: p - d})),
+    ))
 
 
 def brute_digit_sum_count(k, base, t):
