@@ -25,7 +25,6 @@ from .engine import (
     eval_sweep,
     linear_representation,
 )
-from .oracle import WorkLimitError, brute_generating_poly, generating_polys
 from .polyarith import PolyMatrix, PolyVector, ValPoly
 from .seqcore import (
     FileBackedSpec,
@@ -37,6 +36,17 @@ from .seqcore import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle is imported on first use (PEP 562): a matrix-path answer never
+# needs it, and every process that starts the CLI would pay for it.
+_ORACLE_NAMES = ("WorkLimitError", "brute_generating_poly", "generating_polys")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "EvalPath",

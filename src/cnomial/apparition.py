@@ -22,12 +22,12 @@ actually verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from math import isqrt
-from typing import Iterator
 
 from . import seqcore
+from .record import Record, _set
 from .seqcore import SequenceSpec
 
 # Ratios confirmed equal to p past the last deviation before classification
@@ -56,8 +56,7 @@ class PrimeClass(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class PrimeProfile:
+class PrimeProfile(Record):
     """Per-(sequence, p) classification record.
 
     ``alpha_powers`` holds alpha(p), alpha(p^2), ..., alpha(p^s) for
@@ -66,12 +65,22 @@ class PrimeProfile:
     stabilization index was established.
     """
 
+    __slots__ = ("p", "prime_class", "alpha_powers", "s", "ratios", "evidence_kmax")
     p: int
     prime_class: PrimeClass
     alpha_powers: tuple[int, ...]
     s: int | None
     ratios: tuple[int, ...]
     evidence_kmax: int
+
+    def __init__(self, p: int, prime_class: PrimeClass, alpha_powers: tuple[int, ...],
+                 s: int | None, ratios: tuple[int, ...], evidence_kmax: int):
+        _set(self, "p", p)
+        _set(self, "prime_class", prime_class)
+        _set(self, "alpha_powers", alpha_powers)
+        _set(self, "s", s)
+        _set(self, "ratios", ratios)
+        _set(self, "evidence_kmax", evidence_kmax)
 
     @property
     def alpha(self) -> int:
@@ -96,17 +105,6 @@ class PrimeProfile:
             "ratios": list(self.ratios),
             "evidence_kmax": self.evidence_kmax,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PrimeProfile":
-        return cls(
-            p=int(data["p"]),
-            prime_class=PrimeClass(data["class"]),
-            alpha_powers=tuple(int(a) for a in data["alpha_powers"]),
-            s=None if data["s"] is None else int(data["s"]),
-            ratios=tuple(int(a) for a in data["ratios"]),
-            evidence_kmax=int(data["evidence_kmax"]),
-        )
 
 
 def valuation(x: int, p: int) -> int:
@@ -402,26 +400,3 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
         ratios=tuple(ratios),
         evidence_kmax=evidence,
     )
-
-
-def classify_lucas_fast(P: int, Q: int, p: int) -> PrimeClass:
-    """Class of p for the Lucas sequence U(P, Q), without any term scans.
-
-    Every odd prime with an apparition is ideal; p = 2 is ideal when U_2 is
-    even or when U_2 is odd and U_3 = 0 mod 4, and acceptable otherwise.
-    Lucas sequences have no unacceptable primes.  Primes dividing Q never
-    divide any term (U_n = P*U_{n-1} mod such p, and U_1 = 1).
-    """
-    seqcore.LucasSpec(P, Q)  # validates the strong-divisibility hypothesis
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if Q % p == 0:
-        return PrimeClass.NO_APPARITION
-    if p != 2:
-        return PrimeClass.IDEAL
-    u2, u3 = P, P * P - Q
-    if u2 % 2 == 0:
-        return PrimeClass.IDEAL
-    if u3 % 4 == 0:
-        return PrimeClass.IDEAL
-    return PrimeClass.ACCEPTABLE

@@ -11,12 +11,12 @@ exponent strings to coefficient strings, e.g. {"0":"10","2":"3"}.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
+from functools import lru_cache
 from math import comb
 
-from . import apparition, engine, initvec, oracle, seqcore
+from . import apparition, engine, initvec, seqcore
 from .apparition import UndeterminedError
 
 DEFAULT_ORACLE_CUTOFF = 20000
@@ -43,7 +43,10 @@ def _add_common(parser, *, seq=True, k=True):
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = _Parser(prog="cnomial", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -118,8 +121,9 @@ def _check_numbers(args):
         raise _UsageError(f"n must be >= 0, got {args.n}")
 
 
-def _poly_json(poly) -> str:
-    return json.dumps(poly.to_json_dict(), separators=(",", ":"))
+def _compact_json(payload) -> str:
+    import json
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def _cmd_eval(args, out) -> int:
@@ -128,7 +132,7 @@ def _cmd_eval(args, out) -> int:
     profile = apparition.classify(spec, args.p)
     result = engine.eval_generating_poly(spec, profile, args.k, args.n)
     if args.format == "json":
-        print(_poly_json(result.polynomial), file=out)
+        print(_compact_json(result.polynomial.to_json_dict()), file=out)
     else:
         print(result.polynomial, file=out)
     return 0
@@ -137,10 +141,11 @@ def _cmd_eval(args, out) -> int:
 def _cmd_oracle(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
+    from . import oracle
     poly = oracle.brute_generating_poly(spec, args.p, args.k, args.n,
                                         bigint_samples=args.bigint_samples)
     if args.format == "json":
-        print(_poly_json(poly), file=out)
+        print(_compact_json(poly.to_json_dict()), file=out)
     else:
         print(poly, file=out)
     return 0
@@ -152,6 +157,7 @@ def _cmd_verify(args, out) -> int:
         raise _UsageError(f"--n-max must be >= 0, got {args.n_max}")
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p, kmax=args.kmax)
+    from . import oracle
     wants = oracle.generating_polys(spec, args.p, args.k, args.n_max)
     gots = engine.eval_sweep(spec, profile, args.k, args.n_max)
     for n, (got, want) in enumerate(zip(gots, wants)):
@@ -169,7 +175,7 @@ def _cmd_classify(args, out) -> int:
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p, kmax=args.kmax)
     if args.format == "json":
-        print(json.dumps(profile.to_json_dict(), separators=(",", ":")), file=out)
+        print(_compact_json(profile.to_json_dict()), file=out)
     else:
         print(f"p={profile.p} class={profile.prime_class} s={profile.s} "
               f"alpha_powers={list(profile.alpha_powers)} ratios={list(profile.ratios)} "
@@ -197,7 +203,7 @@ def _cmd_vectors(args, out) -> int:
             "vectors": {str(r): [e.to_json_dict() for e in vec.entries]
                         for r, vec in rows.items()},
         }
-        print(json.dumps(payload, separators=(",", ":")), file=out)
+        print(_compact_json(payload), file=out)
     else:
         for r, vec in rows.items():
             print(f"r={r}: [{', '.join(str(e) for e in vec.entries)}]", file=out)
@@ -218,7 +224,7 @@ def _cmd_matrices(args, out) -> int:
             "matrices": {str(d): [[e.to_json_dict() for e in row] for row in m.entries]
                          for d, m in mats.items()},
         }
-        print(json.dumps(payload, separators=(",", ":")), file=out)
+        print(_compact_json(payload), file=out)
     else:
         for d, m in mats.items():
             rows = ", ".join(
@@ -233,6 +239,7 @@ def _cmd_export(args, out) -> int:
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
     rep = engine.linear_representation(profile, args.k)
+    import json
     text = json.dumps(rep.to_json_dict(), indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -257,6 +264,7 @@ def _cmd_bench(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
+    from . import oracle
     try:
         grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
     except ValueError:
@@ -286,7 +294,7 @@ def _cmd_bench(args, out) -> int:
         rows.append(row)
     if args.format == "json":
         payload = {"seq": args.seq, "p": args.p, "k": args.k, "rows": rows}
-        print(json.dumps(payload, separators=(",", ":")), file=out)
+        print(_compact_json(payload), file=out)
     else:
         for row in rows:
             print("N={n} digits={digits} tuples={tuples} matrix_s={matrix_s} "
@@ -316,7 +324,7 @@ def run(argv: list[str], stdout=None) -> int:
     except UndeterminedError as e:
         print(f"undetermined: {e}", file=sys.stderr)
         return 3
-    except (seqcore.InsufficientTermsError, oracle.StrongDivisibilityError,
+    except (seqcore.InsufficientTermsError, apparition.StrongDivisibilityError,
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -22,14 +22,14 @@ the result is tagged accordingly.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
 
-from . import initvec, oracle
+from . import initvec
 from .apparition import PrimeClass, PrimeProfile
 from .polyarith import (PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul,
                         slot_width, unpack)
+from .record import Record, _set
 from .seqcore import SequenceSpec
 from .transfer import digit_counts, digit_matrices
 
@@ -49,8 +49,7 @@ class EvalPath(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(Record):
     """Answer polynomial plus how it was obtained.
 
     ``decomposition`` is (modulus, n, r, digits): N = modulus*n + r and
@@ -58,9 +57,16 @@ class QueryResult:
     the non-matrix paths).
     """
 
+    __slots__ = ("polynomial", "path", "decomposition")
     polynomial: ValPoly
     path: EvalPath
     decomposition: tuple[int, int, int, tuple[int, ...]]
+
+    def __init__(self, polynomial: ValPoly, path: EvalPath,
+                 decomposition: tuple[int, int, int, tuple[int, ...]]):
+        _set(self, "polynomial", polynomial)
+        _set(self, "path", path)
+        _set(self, "decomposition", decomposition)
 
 
 def base_digits(n: int, p: int) -> list[int]:
@@ -140,6 +146,7 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int,
         result = QueryResult(ValPoly({0: comb(n + k - 1, k - 1)}), EvalPath.TRIVIAL,
                              (1, n, 0, ()))
     elif cls is PrimeClass.UNACCEPTABLE:
+        from . import oracle
         poly = oracle.brute_generating_poly(spec, profile.p, k, n)
         result = QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ()))
     else:
@@ -177,6 +184,7 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if profile.prime_class is PrimeClass.UNACCEPTABLE:
+        from . import oracle
         polys = oracle.generating_polys(spec, profile.p, k, n_max)
         for n, poly in enumerate(polys):
             yield _checked(QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ())), k, n)
@@ -210,17 +218,26 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
                            k, q * modulus + r)
 
 
-@dataclass(frozen=True)
-class LinearRepresentation:
+class LinearRepresentation(Record):
     """Finite data that evaluates every query for one (p, k): a row vector
     per residue, a matrix per digit, and the final column e^T."""
 
+    __slots__ = ("p", "k", "modulus", "residue_vectors", "digit_matrices", "final_vector")
     p: int
     k: int
     modulus: int
     residue_vectors: dict[int, PolyVector]
     digit_matrices: dict[int, PolyMatrix]
     final_vector: PolyVector
+
+    def __init__(self, p: int, k: int, modulus: int, residue_vectors: dict[int, PolyVector],
+                 digit_matrices: dict[int, PolyMatrix], final_vector: PolyVector):
+        _set(self, "p", p)
+        _set(self, "k", k)
+        _set(self, "modulus", modulus)
+        _set(self, "residue_vectors", residue_vectors)
+        _set(self, "digit_matrices", digit_matrices)
+        _set(self, "final_vector", final_vector)
 
     def evaluate(self, n: int, r: int) -> ValPoly:
         """The polynomial for index modulus*n + r."""

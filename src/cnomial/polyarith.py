@@ -14,7 +14,7 @@ freely across concurrent workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Record, _set
 
 ROW = "row"
 COLUMN = "column"
@@ -63,9 +63,6 @@ class ValPoly:
     def degree(self) -> int:
         """Largest exponent with a nonzero coefficient; -1 for the zero polynomial."""
         return max(self._coeffs, default=-1)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def eval_at_one(self) -> int:
         """Sum of all coefficients, i.e. the total count of objects tallied."""
@@ -135,23 +132,21 @@ class ValPoly:
         """JSON form: exponent strings to decimal coefficient strings, ascending."""
         return {str(e): str(c) for e, c in self.items()}
 
-    @classmethod
-    def from_json_dict(cls, data: dict[str, str]) -> "ValPoly":
-        return cls({int(e): int(c) for e, c in data.items()})
 
-
-@dataclass(frozen=True)
-class PolyVector:
+class PolyVector(Record):
     """Fixed-length vector of polynomials, tagged as a row or a column."""
 
+    __slots__ = ("entries", "orientation")
     entries: tuple[ValPoly, ...]
     orientation: str
 
-    def __post_init__(self):
-        if self.orientation not in (ROW, COLUMN):
+    def __init__(self, entries: tuple[ValPoly, ...], orientation: str):
+        if orientation not in (ROW, COLUMN):
             raise ValueError(f"orientation must be {ROW!r} or {COLUMN!r}")
-        if not self.entries:
+        if not entries:
             raise ValueError("vector must have at least one entry")
+        _set(self, "entries", entries)
+        _set(self, "orientation", orientation)
 
     @classmethod
     def row(cls, *entries: ValPoly) -> "PolyVector":
@@ -166,16 +161,17 @@ class PolyVector:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Record):
     """Square matrix of polynomials, stored as a tuple of row tuples."""
 
+    __slots__ = ("entries",)
     entries: tuple[tuple[ValPoly, ...], ...]
 
-    def __post_init__(self):
-        k = len(self.entries)
-        if k == 0 or any(len(row) != k for row in self.entries):
+    def __init__(self, entries: tuple[tuple[ValPoly, ...], ...]):
+        k = len(entries)
+        if k == 0 or any(len(row) != k for row in entries):
             raise ValueError("matrix entries must form a nonempty square grid")
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "PolyMatrix":

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import islice
-from typing import Iterator, Union
+
+from .record import Record, _set
 
 
 class InsufficientTermsError(Exception):
     """A file-backed sequence does not store enough terms for the request."""
 
 
-@dataclass(frozen=True)
-class LucasSpec:
+class LucasSpec(Record):
     """Second-order recurrence U_1 = 1, U_2 = P, U_n = P*U_{n-1} - Q*U_{n-2}.
 
     Construction requires gcd(U_2, U_3) = 1, the standing hypothesis for
@@ -30,53 +30,59 @@ class LucasSpec:
     U_6).
     """
 
+    __slots__ = ("P", "Q")
     P: int
     Q: int
 
-    def __post_init__(self):
-        u2, u3 = self.P, self.P * self.P - self.Q
-        if self.P == 0 or (self.Q != 0 and self.P * self.P in (self.Q, 2 * self.Q, 3 * self.Q)):
-            raise ValueError(f"Lucas({self.P},{self.Q}) produces a zero term")
+    def __init__(self, P: int, Q: int):
+        u2, u3 = P, P * P - Q
+        if P == 0 or (Q != 0 and P * P in (Q, 2 * Q, 3 * Q)):
+            raise ValueError(f"Lucas({P},{Q}) produces a zero term")
         if math.gcd(abs(u2), abs(u3)) != 1:
             raise ValueError(
-                f"Lucas({self.P},{self.Q}): gcd(U_2, U_3) = "
+                f"Lucas({P},{Q}): gcd(U_2, U_3) = "
                 f"{math.gcd(abs(u2), abs(u3))} != 1, not a strong divisibility sequence"
             )
+        _set(self, "P", P)
+        _set(self, "Q", Q)
 
     @property
     def selector(self) -> str:
         return f"lucas:{self.P},{self.Q}"
 
 
-@dataclass(frozen=True)
-class NaturalsSpec:
+class NaturalsSpec(Record):
     """The sequence C_n = n."""
+
+    __slots__ = ()
 
     @property
     def selector(self) -> str:
         return "naturals"
 
 
-@dataclass(frozen=True)
-class FileBackedSpec:
+class FileBackedSpec(Record):
     """Finite list of stored terms; terms[i] holds C_{i+1}."""
 
+    __slots__ = ("terms", "name")
     terms: tuple[int, ...]
-    name: str = "file"
+    name: str
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[int, ...], name: str = "file"):
+        if not terms:
             raise ValueError("file-backed sequence has no terms")
-        for i, t in enumerate(self.terms, start=1):
+        for i, t in enumerate(terms, start=1):
             if t == 0:
                 raise ValueError(f"term C_{i} is zero; terms must be nonzero integers")
+        _set(self, "terms", terms)
+        _set(self, "name", name)
 
     @property
     def selector(self) -> str:
         return f"file:{self.name}"
 
 
-SequenceSpec = Union[LucasSpec, NaturalsSpec, FileBackedSpec]
+SequenceSpec = LucasSpec | NaturalsSpec | FileBackedSpec
 
 
 def _lucas_jump(spec: LucasSpec, n: int, m: int | None) -> int:

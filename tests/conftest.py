@@ -11,10 +11,16 @@ from pathlib import Path
 import pytest
 
 from cnomial import apparition, seqcore
+from cnomial.polyarith import ValPoly
 
 DATA_DIR = Path(__file__).parent / "data"
 EDS14_PATH = DATA_DIR / "eds_a006769_14.txt"
 EDS150_PATH = DATA_DIR / "eds_a006769_150.txt"
+
+
+def poly_from_json(data):
+    """Inverse of ValPoly.to_json_dict."""
+    return ValPoly({int(e): int(c) for e, c in data.items()})
 
 
 def valid_lucas(params):

@@ -24,7 +24,7 @@ from cnomial.polyarith import ValPoly, mat_vec_mul
 from cnomial.seqcore import LucasSpec, NaturalsSpec, load_terms_file
 from cnomial.transfer import multinomial_matrix
 
-from conftest import EDS14_PATH, EDS150_PATH
+from conftest import EDS14_PATH, EDS150_PATH, poly_from_json
 
 FIB = LucasSpec(1, -1)
 LUCAS52 = LucasSpec(5, -2)
@@ -178,7 +178,7 @@ def test_criterion_9_normalization():
                      "--format", "json")[1], 13),
         ]
         for text, total in golden:
-            assert ValPoly.from_json_dict(json.loads(text)).eval_at_one() == total
+            assert poly_from_json(json.loads(text)).eval_at_one() == total
         for spec, p in sweep_profiles():
             profile = classify(spec, p)
             for k, nmax in ((2, 120), (3, 60)):

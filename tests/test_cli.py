@@ -1,13 +1,17 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from cnomial import cli, engine, oracle
 from cnomial.apparition import classify
 from cnomial.polyarith import PolyMatrix, PolyVector, ValPoly
 from cnomial.seqcore import parse_selector
 
-from conftest import EDS14_PATH, EDS150_PATH
+from conftest import EDS14_PATH, EDS150_PATH, poly_from_json
 
 
 def run_cli(*argv):
@@ -69,7 +73,7 @@ def test_json_round_trip():
         if key not in profiles:
             profiles[key] = classify(specs[sel], p)
         direct = engine.eval_generating_poly(specs[sel], profiles[key], k, n).polynomial
-        assert ValPoly.from_json_dict(json.loads(out)) == direct
+        assert poly_from_json(json.loads(out)) == direct
 
 
 def test_classify_output():
@@ -195,7 +199,7 @@ def test_export_acceptable_k4_modulus_50(tmp_path, make_chain_spec):
     assert code == 0
     data = json.loads(out)
     assert (data["p"], data["k"], data["modulus"]) == (3, 4, 50)
-    poly = ValPoly.from_json_dict
+    poly = poly_from_json
     rep = engine.LinearRepresentation(
         p=3, k=4, modulus=50,
         residue_vectors={int(r): PolyVector.row(*map(poly, v))
@@ -348,3 +352,68 @@ def test_oracle_work_is_refused_up_front(tmp_path, make_chain_spec, capsys, monk
         code, out = run_cli(*argv)
         assert (code, out) == (1, ""), argv[0]
         assert " refused: " in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # cli.run keeps one parser per process; a run must not leave state in it
+    # that changes the next run's output, error text or exit code.
+    runs = [("classify", "--seq", "fibonacci", "-p", "2", "--kmax", "3"),
+            ("classify", "--seq", "fibonacci", "-p", "2"),
+            ("classify", "--seq", "fibonacci", "-p", "2", "--kmax", "x"),
+            ("verify", "--seq", "fibonacci", "-p", "2", "-k", "3", "--n-max", "30")]
+
+    def outcome(argv):
+        code, out = run_cli(*argv)
+        return code, out, capsys.readouterr().err
+
+    reused = [outcome(argv) for argv in runs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0]
+    assert reused[0][1].endswith("evidence_kmax=4\n")
+    assert reused[1][1].endswith("evidence_kmax=6\n")
+    assert reused[2][2].startswith("usage error: argument --kmax: invalid int value")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_unused_modules():
+    # A matrix-path eval needs neither the oracle nor json, and records are
+    # not dataclasses (importing dataclasses pulls in inspect).
+    added = run_fresh("import sys; before = set(sys.modules); import cnomial.cli; "
+                      "print(' '.join(sorted(set(sys.modules) - before)))").split()
+    assert "cnomial.engine" in added
+    for name in ("dataclasses", "inspect", "json", "cnomial.oracle"):
+        assert name not in added, name
+    # The package's oracle names still load on first use.
+    out = run_fresh("import cnomial\n"
+                    "ns = {}\n"
+                    "exec('from cnomial import *', ns)\n"
+                    "assert all(ns[name] is getattr(cnomial, name) for name in cnomial.__all__)\n"
+                    "import cnomial.oracle\n"
+                    "print(cnomial.WorkLimitError is cnomial.oracle.WorkLimitError)")
+    assert out == "True\n"
+
+
+def test_unacceptable_eval_in_a_fresh_process(tmp_path, make_chain_spec):
+    spec = make_chain_spec((1,) * 14 + (3, 3), 60)
+    path = tmp_path / "unacceptable.txt"
+    path.write_text("".join(f"{t}\n" for t in spec.terms))
+    out = run_fresh("import sys; from cnomial import cli; sys.exit(cli.main())",
+                    "eval", "--seq", f"file:{path}", "-p", "2", "-k", "3", "-n", "40")
+    assert out == f"{oracle.brute_generating_poly(spec, 2, 3, 40)}\n"
+    assert engine.eval_generating_poly(spec, classify(spec, 2), 3, 40).path \
+        is engine.EvalPath.FALLBACK

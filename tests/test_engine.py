@@ -368,9 +368,9 @@ def test_eval_sweep_unacceptable_does_not_enumerate(make_chain_spec, monkeypatch
     def refuse(*args):
         raise AssertionError("enumerated")
 
-    monkeypatch.setattr(engine.oracle, "compositions", refuse)
+    monkeypatch.setattr(oracle, "compositions", refuse)
     assert list(engine.eval_sweep(unacc, prof, 3, 40)) == want
-    with pytest.raises(engine.oracle.WorkLimitError):
+    with pytest.raises(oracle.WorkLimitError):
         next(engine.eval_sweep(unacc, prof, 3, 10 ** 6))
 
 

@@ -12,6 +12,8 @@ from cnomial.polyarith import (
     row_vec_mul,
 )
 
+from conftest import poly_from_json
+
 P = ValPoly  # shorthand for literals
 
 
@@ -81,8 +83,8 @@ def test_json_round_trip():
     d = p.to_json_dict()
     assert d == {"0": "10", "2": "3"}
     assert json.dumps(d, separators=(",", ":")) == '{"0":"10","2":"3"}'
-    assert ValPoly.from_json_dict(d) == p
-    assert ValPoly.from_json_dict({}) == ValPoly.zero()
+    assert poly_from_json(d) == p
+    assert poly_from_json({}) == ValPoly.zero()
 
 
 # -- matrix and vector operations -------------------------------------------
