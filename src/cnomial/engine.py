@@ -6,12 +6,13 @@ row_vector(r) * M(n_0) * M(n_1) * ... * M(n_len) * e^T, where e^T is the
 first standard basis column.  The product is accumulated right to left as
 matrix-vector multiplications, so the work is k^2 polynomial products per
 base-p digit of n: logarithmic in N where direct enumeration is
-polynomial.  Every matrix entry is a monomial c*x^row, so the loop keeps
-each column entry packed into one integer (one fixed-width slot per
-exponent) and does k^2 integer scalings and k shifts per digit; the
-exported ``LinearRepresentation`` evaluates with generic polynomial
-arithmetic instead.  ``eval_sweep`` answers every index up to a bound from
-one table of columns, one packed mat-vec per quotient.
+polynomial.  Every matrix entry is a monomial c*x^row, so one packed
+kernel answers a single N and a sweep alike: a column entry is one integer
+with a fixed-width slot per exponent, a digit step is k^2 integer scalings
+and k shifts, and the contraction with the row vector is packed too, so
+each answer is unpacked once.  ``eval_sweep`` builds its columns from one
+table, one step per quotient.  The exported ``LinearRepresentation``
+evaluates with generic polynomial arithmetic instead.
 
 Primes with no usable matrix formula still get an answer: if p divides no
 term every valuation is 0 and the polynomial is the constant
@@ -82,39 +83,45 @@ def base_digits(n: int, p: int) -> list[int]:
     return digits
 
 
-def decompose(n: int, modulus: int) -> tuple[int, int]:
-    """(quotient, residue) with n = modulus*quotient + residue, 0 <= residue < modulus."""
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
-    return divmod(n, modulus)
-
-
 def unit_column(k: int) -> PolyVector:
     """The column (1, 0, ..., 0)^T of length k."""
     return PolyVector.column(ValPoly.one(), *(ValPoly.zero() for _ in range(k - 1)))
 
 
-def _matrix_product_apply(p: int, k: int, digits: list[int]) -> PolyVector:
-    if not digits:
-        return unit_column(k)
-    # M(d_0) * ... * M(d_last) * e^T, accumulated from the right.  Entry
-    # (row, col) of M(d) is c*x^row, so a column entry is packed into one
-    # integer with the coefficient of x^i in bits [i*width, (i+1)*width)
-    # (Kronecker substitution): scaling by c is one integer product and
-    # x^row is one shift.
-    # Every intermediate column is v(q') for a leading part q' <= quot of
-    # the digits, whose coefficients sum to at most C(quot+k-1, k-1) (see
-    # ``eval_sweep``), so slots that wide cannot overflow into each other.
-    quot = 0
-    for d in reversed(digits):
-        quot = quot * p + d
-    width = slot_width(comb(quot + k - 1, k - 1))
+# The packed kernel.  A polynomial is one integer holding the coefficient
+# of x^i in bits [i*width, (i+1)*width) (Kronecker substitution), and entry
+# (row, col) of M(d) is c*x^row: one integer product and one shift.
+# ``_width(k, top)`` is exact for the answer at every n <= top and for every
+# column on the way: no coefficient is negative, the answer at n sums to
+# C(n+k-1, k-1), and entry lam of a column v(q), q <= n, is the naturals'
+# component vector at q, whose coefficients sum to at most C(q+k-1, k-1).
+
+def _width(k: int, top: int) -> int:
+    return slot_width(comb(top + k - 1, k - 1))
+
+
+def _step(rows: tuple[tuple[int, ...], ...], column: list[int], shifts: list[int]) -> list[int]:
+    """M(d) * column, where rows are ``digit_counts(p, k, d)``."""
+    return [sum(c * v for c, v in zip(row, column) if c) << shift
+            for row, shift in zip(rows, shifts)]
+
+
+def _column(p: int, k: int, digits: list[int], width: int) -> list[int]:
+    """M(d_0) * ... * M(d_last) * e^T, accumulated from the right."""
     shifts = [row * width for row in range(k)]
-    vec = [1] + [0] * (k - 1)
-    for rows in (digit_counts(p, k, d) for d in reversed(digits)):
-        vec = [sum(c * v for c, v in zip(row, vec) if c) << shift
-               for row, shift in zip(rows, shifts)]
-    return PolyVector.column(*(unpack(v, width) for v in vec))
+    column = [1] + [0] * (k - 1)
+    for d in reversed(digits):
+        column = _step(digit_counts(p, k, d), column, shifts)
+    return column
+
+
+def _terms(u: PolyVector, width: int) -> list[tuple[int, int, int]]:
+    """(entry, shift, coefficient) for each monomial of the row u."""
+    return [(lam, e * width, c) for lam, entry in enumerate(u.entries) for e, c in entry.items()]
+
+
+def _contract(terms: list[tuple[int, int, int]], column: list[int], width: int) -> ValPoly:
+    return unpack(sum(c * column[lam] << shift for lam, shift, c in terms), width)
 
 
 def _matrix_path(profile: PrimeProfile) -> EvalPath:
@@ -151,11 +158,11 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int,
         result = QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ()))
     else:
         modulus = profile.stable_modulus
-        quot, r = decompose(n, modulus)
-        u = initvec.vector_for(profile, k, r)
+        quot, r = divmod(n, modulus)
         digits = base_digits(quot, profile.p)
-        v = _matrix_product_apply(profile.p, k, digits)
-        poly = row_vec_mul(u, v)
+        width = _width(k, n)
+        poly = _contract(_terms(initvec.vector_for(profile, k, r), width),
+                         _column(profile.p, k, digits, width), width)
         result = QueryResult(poly, _matrix_path(profile), (modulus, quot, r, tuple(digits)))
     return _checked(result, k, n)
 
@@ -171,13 +178,10 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
     with v(0) = e^T, so the whole sweep costs one packed mat-vec per
     quotient q <= n_max // modulus, one ``vector_for`` per residue, and one
     packed contraction and one unpack per n.  The table is built as the
-    sweep reaches each q.  One slot width, for C(n_max+k-1, k-1), is exact
-    throughout: no coefficient is negative, entry lam of v(q) is the
-    naturals' component vector at q (see ``oracle.component_vector``),
-    whose coefficients sum to at most C(q+k-1, k-1), and the answer at n
-    sums to C(n+k-1, k-1).  An unacceptable prime's sweep comes from
-    ``oracle.generating_polys``, whose work bound covers the whole sweep;
-    a prime with no apparition is evaluated per n.
+    sweep reaches each q, with one slot width, ``_width(k, n_max)``.  An
+    unacceptable prime's sweep comes from ``oracle.generating_polys``,
+    whose work bound covers the whole sweep; a prime with no apparition is
+    evaluated per n.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -196,24 +200,18 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
     p = profile.p
     modulus = profile.stable_modulus
     path = _matrix_path(profile)
-    width = slot_width(comb(n_max + k - 1, k - 1))
+    width = _width(k, n_max)
     shifts = [row * width for row in range(k)]
-    table = [[1] + [0] * (k - 1)]
-    # terms[r]: (entry, shift, coefficient) for each monomial of u(r).
+    table = [_column(p, k, [], width)]
     terms: dict[int, list[tuple[int, int, int]]] = {}
     for q in range(n_max // modulus + 1):
         if q:
-            vec = table[q // p]
-            table.append([sum(c * v for c, v in zip(row, vec) if c) << shift
-                          for row, shift in zip(digit_counts(p, k, q % p), shifts)])
-        column = table[q]
+            table.append(_step(digit_counts(p, k, q % p), table[q // p], shifts))
         digits = tuple(base_digits(q, p))
         for r in range(min(modulus, n_max - q * modulus + 1)):
             if r not in terms:
-                u = initvec.vector_for(profile, k, r)
-                terms[r] = [(lam, e * width, c) for lam, entry in enumerate(u.entries)
-                            for e, c in entry.items()]
-            poly = unpack(sum(c * column[lam] << shift for lam, shift, c in terms[r]), width)
+                terms[r] = _terms(initvec.vector_for(profile, k, r), width)
+            poly = _contract(terms[r], table[q], width)
             yield _checked(QueryResult(poly, path, (modulus, q, r, digits)),
                            k, q * modulus + r)
 

@@ -16,7 +16,8 @@ valuation t(n) - t(m_1) - ... - t(m_k).  Two evaluators read that table:
 
 Both refuse up front (``WorkLimitError``) work above a fixed bound.  None
 of this touches the transfer matrices or initial vectors it is used to
-check.
+check.  Per-tuple valuations and the naturals' component vectors (the
+advancement-identity reference) live in the tests' ``reference.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import lshift
 
 from . import apparition, seqcore
 from .apparition import StrongDivisibilityError
-from .polyarith import PolyVector, ValPoly, slot_width, unpack
+from .polyarith import ValPoly, slot_width, unpack
 from .seqcore import SequenceSpec
 
 MAX_TUPLES = 10 ** 7
@@ -39,19 +40,6 @@ MAX_SWEEP_STEPS = 10 ** 8
 
 class WorkLimitError(ValueError):
     """An oracle request exceeds its up-front work bound and was refused."""
-
-
-def digit_sum(n: int, p: int) -> int:
-    s = 0
-    while n:
-        n, d = divmod(n, p)
-        s += d
-    return s
-
-
-def factorial_valuation(n: int, p: int) -> int:
-    """nu_p(n!) by Legendre: (n - digit_sum(n)) / (p - 1)."""
-    return (n - digit_sum(n, p)) // (p - 1)
 
 
 def compositions(total: int, k: int):
@@ -85,21 +73,9 @@ def alpha_chain(spec: SequenceSpec, p: int, limit: int) -> list[int]:
         pk *= p
 
 
-def corial_valuation(spec: SequenceSpec, p: int, n: int) -> int:
-    """nu_p of the term product C_n * C_{n-1} * ... * C_1.
-
-    Equals sum over j of floor(n / alpha(p^j)), truncated once alpha(p^j)
-    exceeds n (or does not exist).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0
-    return sum(n // a for a in alpha_chain(spec, p, n))
-
-
 def corial_valuation_table(spec: SequenceSpec, p: int, nmax: int) -> list[int]:
-    """corial_valuation for every n in 0..nmax, sharing one apparition chain."""
+    """nu_p of the term product C_n * ... * C_1 for every n in 0..nmax: the
+    sum over j of floor(n / alpha(p^j)), from one apparition chain."""
     chain = alpha_chain(spec, p, nmax)
     table = [0] * (nmax + 1)
     for a in chain:
@@ -132,19 +108,6 @@ def cmultinomial_bigint(spec: SequenceSpec, n: int, mtuple: tuple[int, ...]) -> 
             f"strong divisibility violated: C-multinomial ({n}; {mtuple}) is not an integer"
         )
     return q
-
-
-def cmultinomial_valuation(spec: SequenceSpec, p: int, n: int,
-                           mtuple: tuple[int, ...]) -> int:
-    """nu_p of the generalized multinomial, via the apparition chain."""
-    if sum(mtuple) != n:
-        raise ValueError(f"tuple {mtuple} sums to {sum(mtuple)}, expected {n}")
-    v = corial_valuation(spec, p, n) - sum(corial_valuation(spec, p, m) for m in mtuple)
-    if v < 0:
-        raise StrongDivisibilityError(
-            f"negative valuation for ({n}; {mtuple}): sequence is not strong divisibility"
-        )
-    return v
 
 
 def brute_generating_poly(spec: SequenceSpec, p: int, k: int, n: int, *,
@@ -240,67 +203,3 @@ def _convolve(table: list[int], k: int, n_max: int) -> Iterator[ValPoly]:
         for lower, upper in zip(parts, parts[1:]):
             upper.append(sum(map(lshift, lower, shifts)))
         yield unpack(parts[-1][n], width)
-
-
-# ---------------------------------------------------------------------------
-# Tuple-counting polynomials for the plain naturals, used as the independent
-# reference for the digit-matrix advancement identity.  Computed from digit
-# sums alone: a k-part composition of n has multinomial valuation
-# (sum of part digit sums - digit_sum(n)) / (p - 1).
-
-_digit_count_cache: dict[tuple[int, int], list[dict[int, int]]] = {}
-
-
-def _digit_sum_counts(p: int, k: int, nmax: int) -> list[dict[int, int]]:
-    # rows[n] maps D -> number of k-part compositions of n whose parts have
-    # base-p digit sums totalling D; the cached rows are extended only as
-    # far as a caller needs.
-    rows = _digit_count_cache.setdefault((p, k), [])
-    if k == 1:
-        for n in range(len(rows), nmax + 1):
-            rows.append({digit_sum(n, p): 1})
-        return rows
-    prev = _digit_sum_counts(p, k - 1, nmax)
-    for n in range(len(rows), nmax + 1):
-        acc: dict[int, int] = {}
-        for m in range(n + 1):
-            shift = digit_sum(m, p)
-            for d, c in prev[n - m].items():
-                acc[d + shift] = acc.get(d + shift, 0) + c
-        rows.append(acc)
-    return rows
-
-
-def multinomial_count_poly(p: int, k: int, n: int) -> ValPoly:
-    """Sum of x^nu_p(multinomial) over k-part compositions of n (naturals)."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    rows = _digit_sum_counts(p, k, n)
-    sn = digit_sum(n, p)
-    counts = {}
-    for d, c in rows[n].items():
-        e, rem = divmod(d - sn, p - 1)
-        if rem:
-            raise AssertionError(f"digit-sum residue broke for n={n}, D={d}")
-        counts[e] = c
-    return ValPoly(counts)
-
-
-def component_vector(p: int, k: int, n: int) -> PolyVector:
-    """Column of k tuple-counting polynomials advanced by the digit matrices.
-
-    Entry lam is 0 for n < lam, and otherwise
-    x^(nu_p(n!/(n-lam)!) + lam) * multinomial_count_poly(p, k, n - lam).
-    Built from ordinary factorial valuations only, independent of any
-    sequence and of the matrix construction it is used to check.
-    """
-    entries = []
-    for lam in range(k):
-        if n < lam:
-            entries.append(ValPoly.zero())
-            continue
-        shift = factorial_valuation(n, p) - factorial_valuation(n - lam, p) + lam
-        entries.append(ValPoly.monomial(1, shift) * multinomial_count_poly(p, k, n - lam))
-    return PolyVector.column(*entries)

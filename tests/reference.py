@@ -1,0 +1,110 @@
+"""References used only by the tests.
+
+* Per-tuple valuations from the apparition chain: ``corial_valuation`` and
+  ``cmultinomial_valuation``, which ``oracle.corial_valuation_table`` and
+  the big-integer products are checked against.
+* Tuple-counting polynomials for the plain naturals, the independent
+  reference for the digit-matrix advancement identity.  They come from
+  digit sums alone: a k-part composition of n has multinomial valuation
+  (sum of part digit sums - digit_sum(n)) / (p - 1).
+"""
+
+from cnomial.apparition import StrongDivisibilityError
+from cnomial.oracle import alpha_chain
+from cnomial.polyarith import PolyVector, ValPoly
+
+
+def digit_sum(n, p):
+    s = 0
+    while n:
+        n, d = divmod(n, p)
+        s += d
+    return s
+
+
+def factorial_valuation(n, p):
+    """nu_p(n!) by Legendre: (n - digit_sum(n)) / (p - 1)."""
+    return (n - digit_sum(n, p)) // (p - 1)
+
+
+def corial_valuation(spec, p, n):
+    """nu_p of the term product C_n * C_{n-1} * ... * C_1.
+
+    Equals sum over j of floor(n / alpha(p^j)), truncated once alpha(p^j)
+    exceeds n (or does not exist).
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
+        return 0
+    return sum(n // a for a in alpha_chain(spec, p, n))
+
+
+def cmultinomial_valuation(spec, p, n, mtuple):
+    """nu_p of the generalized multinomial, via the apparition chain."""
+    if sum(mtuple) != n:
+        raise ValueError(f"tuple {mtuple} sums to {sum(mtuple)}, expected {n}")
+    v = corial_valuation(spec, p, n) - sum(corial_valuation(spec, p, m) for m in mtuple)
+    if v < 0:
+        raise StrongDivisibilityError(
+            f"negative valuation for ({n}; {mtuple}): sequence is not strong divisibility"
+        )
+    return v
+
+
+_digit_count_cache = {}
+
+
+def _digit_sum_counts(p, k, nmax):
+    # rows[n] maps D -> number of k-part compositions of n whose parts have
+    # base-p digit sums totalling D; the cached rows are extended only as
+    # far as a caller needs.
+    rows = _digit_count_cache.setdefault((p, k), [])
+    if k == 1:
+        for n in range(len(rows), nmax + 1):
+            rows.append({digit_sum(n, p): 1})
+        return rows
+    prev = _digit_sum_counts(p, k - 1, nmax)
+    for n in range(len(rows), nmax + 1):
+        acc = {}
+        for m in range(n + 1):
+            shift = digit_sum(m, p)
+            for d, c in prev[n - m].items():
+                acc[d + shift] = acc.get(d + shift, 0) + c
+        rows.append(acc)
+    return rows
+
+
+def multinomial_count_poly(p, k, n):
+    """Sum of x^nu_p(multinomial) over k-part compositions of n (naturals)."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    rows = _digit_sum_counts(p, k, n)
+    sn = digit_sum(n, p)
+    counts = {}
+    for d, c in rows[n].items():
+        e, rem = divmod(d - sn, p - 1)
+        if rem:
+            raise AssertionError(f"digit-sum residue broke for n={n}, D={d}")
+        counts[e] = c
+    return ValPoly(counts)
+
+
+def component_vector(p, k, n):
+    """Column of k tuple-counting polynomials advanced by the digit matrices.
+
+    Entry lam is 0 for n < lam, and otherwise
+    x^(nu_p(n!/(n-lam)!) + lam) * multinomial_count_poly(p, k, n - lam).
+    Built from ordinary factorial valuations only, independent of any
+    sequence and of the matrix construction it is used to check.
+    """
+    entries = []
+    for lam in range(k):
+        if n < lam:
+            entries.append(ValPoly.zero())
+            continue
+        shift = factorial_valuation(n, p) - factorial_valuation(n - lam, p) + lam
+        entries.append(ValPoly.monomial(1, shift) * multinomial_count_poly(p, k, n - lam))
+    return PolyVector.column(*entries)

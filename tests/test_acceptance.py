@@ -14,17 +14,13 @@ from math import comb
 from cnomial import cli, engine, oracle
 from cnomial.apparition import PrimeClass, classify
 from cnomial.engine import base_digits, eval_generating_poly
-from cnomial.oracle import (
-    brute_generating_poly,
-    component_vector,
-    corial_valuation_table,
-    digit_sum,
-)
+from cnomial.oracle import brute_generating_poly, corial_valuation_table
 from cnomial.polyarith import ValPoly, mat_vec_mul
 from cnomial.seqcore import LucasSpec, NaturalsSpec, load_terms_file
 from cnomial.transfer import multinomial_matrix
 
 from conftest import EDS14_PATH, EDS150_PATH, poly_from_json
+from reference import component_vector, digit_sum
 
 FIB = LucasSpec(1, -1)
 LUCAS52 = LucasSpec(5, -2)

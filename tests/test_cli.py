@@ -8,7 +8,7 @@ from pathlib import Path
 
 from cnomial import cli, engine, oracle
 from cnomial.apparition import classify
-from cnomial.polyarith import PolyMatrix, PolyVector, ValPoly
+from cnomial.polyarith import PolyMatrix, PolyVector
 from cnomial.seqcore import parse_selector
 
 from conftest import EDS14_PATH, EDS150_PATH, poly_from_json
@@ -272,13 +272,12 @@ def test_same_basename_files_get_their_own_answers(tmp_path, monkeypatch):
 def test_normalization_failure_exit_code(monkeypatch, capsys):
     # A wrong digit-loop column is caught by the normalization check and
     # reported as a verification divergence, not a traceback.
-    real = engine._matrix_product_apply
+    real = engine._column
 
-    def bumped(p, k, digits):
-        v = real(p, k, digits)
-        return PolyVector.column(*(e + ValPoly.one() for e in v.entries))
+    def bumped(p, k, digits, width):
+        return [v + 1 for v in real(p, k, digits, width)]
 
-    monkeypatch.setattr(engine, "_matrix_product_apply", bumped)
+    monkeypatch.setattr(engine, "_column", bumped)
     code, out = run_cli("eval", "--seq", "lucas:5,-2", "-p", "7", "-n", "12")
     err = capsys.readouterr().err
     assert (code, out) == (2, "")

@@ -10,17 +10,17 @@ from cnomial.apparition import classify, is_prime
 from cnomial.engine import (
     EvalPath,
     NormalizationError,
-    _matrix_product_apply,
+    _column,
     base_digits,
-    decompose,
     eval_generating_poly,
     linear_representation,
     unit_column,
 )
-from cnomial.oracle import digit_sum
-from cnomial.polyarith import PolyVector, ValPoly, mat_vec_mul
+from cnomial.polyarith import PolyVector, ValPoly, mat_vec_mul, slot_width, unpack
 from cnomial.seqcore import LucasSpec
 from cnomial.transfer import digit_matrices, multinomial_matrix
+
+from reference import component_vector, digit_sum
 
 P = ValPoly
 
@@ -30,13 +30,6 @@ def test_base_digits():
     assert base_digits(1, 7) == [1]
     assert base_digits(0, 5) == []
     assert base_digits(25, 3) == [1, 2, 2]
-
-
-def test_decompose():
-    assert decompose(12, 8) == (1, 4)
-    assert decompose(13, 6) == (2, 1)
-    assert decompose(12, 5) == (2, 2)
-    assert decompose(7, 1) == (7, 0)
 
 
 def test_golden_lucas(lucas52, profile_of):
@@ -222,14 +215,20 @@ def generic_apply(p, k, digits):
     return v
 
 
+def packed_apply(p, k, n):
+    # The packed column after the digits of n, at the slot width an answer
+    # at index n uses, unpacked into polynomials.
+    width = slot_width(comb(n + k - 1, k - 1))
+    return PolyVector.column(*(unpack(v, width) for v in _column(p, k, base_digits(n, p), width)))
+
+
 def test_packed_loop_matches_factorial_oracle():
     # The column after the digits of n is the column of tuple-counting
     # polynomials at n, built from factorial valuations only.
     for p in (2, 3, 5, 7):
         for k in (2, 3, 4):
             for n in range(40 if k < 4 else 25):
-                got = _matrix_product_apply(p, k, base_digits(n, p))
-                assert got == oracle.component_vector(p, k, n), (p, k, n)
+                assert packed_apply(p, k, n) == component_vector(p, k, n), (p, k, n)
 
 
 PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
@@ -257,20 +256,29 @@ def prime_k_index(draw):
 @given(prime_k_index())
 def test_packed_loop_matches_generic_loop(case):
     p, k, n = case
-    digits = base_digits(n, p)
-    assert _matrix_product_apply(p, k, digits) == generic_apply(p, k, digits), case
+    assert packed_apply(p, k, n) == generic_apply(p, k, base_digits(n, p)), case
 
 
-def test_packed_loop_slot_width_edge():
+def test_packed_loop_slot_width_edge(naturals, profile_of):
     # The widest coefficients relative to the slot: large p and k, 30 base-p
     # digits, all maximal or mixed.
     p, k = 101, 6
     for n in (p**30 - 1, p**29, 3 * p**29 + 17 * p**11 + 100):
         digits = base_digits(n, p)
         assert len(digits) == 30
-        got = _matrix_product_apply(p, k, digits)
+        got = packed_apply(p, k, n)
         assert got == generic_apply(p, k, digits)
         assert got.entries[0].eval_at_one() == comb(n + k - 1, k - 1)
+    # A packed answer whose one coefficient equals the width bound: for the
+    # naturals at p = 2, k = 2 and N = 2^L - 1 no binomial C(N, m) is even,
+    # so the answer is (N+1)*x^0 = C(N+1, 1)*x^0.  With L+1 a multiple of 8
+    # that coefficient fills its slot; with L a multiple of 8 it needs one
+    # more byte than the columns, whose coefficients sum to at most
+    # C(N//2 + 1, 1) = 2^(L-1).
+    for bits in (7, 8, 63, 64, 199, 200):
+        n = 2 ** bits - 1
+        res = eval_generating_poly(naturals, profile_of(naturals, 2), 2, n)
+        assert res.polynomial == P({0: n + 1}), bits
 
 
 def test_packed_loop_builds_no_polynomial_per_digit(fib, profile_of, monkeypatch):
@@ -286,6 +294,8 @@ def test_packed_loop_builds_no_polynomial_per_digit(fib, profile_of, monkeypatch
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ValPoly, "__init__", counted_init)
+    # The answer is contracted on packed integers, not by row_vec_mul.
+    monkeypatch.setattr(engine, "row_vec_mul", None)
     counts = []
     for n in (6 * 10**20 + 1, 6 * 10**80 + 1):
         built[0] = 0
@@ -295,13 +305,12 @@ def test_packed_loop_builds_no_polynomial_per_digit(fib, profile_of, monkeypatch
 
 
 def test_normalization_failure_is_typed(lucas52, profile_of, monkeypatch):
-    real = engine._matrix_product_apply
+    real = engine._column
 
-    def bumped(p, k, digits):
-        v = real(p, k, digits)
-        return PolyVector.column(*(e + ValPoly.one() for e in v.entries))
+    def bumped(p, k, digits, width):
+        return [v + 1 for v in real(p, k, digits, width)]
 
-    monkeypatch.setattr(engine, "_matrix_product_apply", bumped)
+    monkeypatch.setattr(engine, "_column", bumped)
     with pytest.raises(NormalizationError, match="normalization broken"):
         eval_generating_poly(lucas52, profile_of(lucas52, 7), 2, 12)
     assert issubclass(NormalizationError, ArithmeticError)
@@ -310,7 +319,7 @@ def test_normalization_failure_is_typed(lucas52, profile_of, monkeypatch):
 def test_indices_below_the_modulus(fib, lucas52, naturals, eds150, profile_of):
     # n < modulus leaves no base-p digit: the column is e^T itself, and the
     # answer is entry 0 of the residue vector, as the exported data says.
-    assert _matrix_product_apply(7, 4, []) == unit_column(4)
+    assert _column(7, 4, [], 8) == [1, 0, 0, 0]
     for spec, p in [(fib, 2), (lucas52, 7), (naturals, 5), (eds150, 2)]:
         prof = profile_of(spec, p)
         for k in (2, 3, 4):

@@ -12,19 +12,21 @@ from cnomial.oracle import (
     WorkLimitError,
     brute_generating_poly,
     cmultinomial_bigint,
-    cmultinomial_valuation,
-    component_vector,
     compositions,
-    corial_valuation,
     corial_valuation_table,
-    factorial_valuation,
     generating_polys,
-    multinomial_count_poly,
 )
 from cnomial.polyarith import ValPoly, row_vec_mul
 from cnomial.seqcore import FileBackedSpec, LucasSpec, term, terms_prefix
 
 from conftest import valid_lucas
+from reference import (
+    cmultinomial_valuation,
+    component_vector,
+    corial_valuation,
+    factorial_valuation,
+    multinomial_count_poly,
+)
 
 P = ValPoly
 

@@ -4,9 +4,10 @@ from itertools import product
 import pytest
 
 from cnomial.engine import base_digits
-from cnomial.oracle import component_vector, digit_sum, factorial_valuation
 from cnomial.polyarith import PolyMatrix, PolyVector, ValPoly, mat_vec_mul
 from cnomial.transfer import digit_sum_count, multinomial_matrix
+
+from reference import component_vector, digit_sum, factorial_valuation
 
 P = ValPoly
 
