@@ -189,13 +189,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    half = (n + 1) // 2         # the inverse of 2 mod n
-    # (U_i, V_i, Q^i) mod n from i = 1, doubling and stepping by the bits of d.
-    U, V, Qi = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V, Qi = U * V % n, (V * V - 2 * Qi) % n, Qi * Qi % n
-        if bit == "1":
-            U, V, Qi = (U + V) * half % n, (D * U + V) * half % n, Qi * Q % n
+    # U_d and U_(d+1) mod n by the sequences' own ladder, then
+    # V_d = 2*U_(d+1) - P*U_d and V_(2i) = V_i^2 - 2*Q^i.
+    U, U1 = seqcore._lucas_jump(seqcore.LucasSpec(1, Q), d, n)
+    V, Qi = (2 * U1 - U) % n, pow(Q, d, n)
     if U == 0 or V == 0:
         return True
     for _ in range(s - 1):
@@ -203,43 +200,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         if V == 0:
             return True
     return False
-
-
-def rank_of_apparition(spec: SequenceSpec, m: int) -> int | None:
-    """Smallest n with m | C_n, or None when provably no such n exists.
-
-    Scans C_1, C_2, ... mod m.  For recurrence-backed sequences Brent cycle
-    detection on the state (C_n, C_{n+1}) mod m proves absence; a
-    file-backed sequence that ends first raises UndeterminedError.
-    """
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    detect_cycle = not isinstance(spec, seqcore.FileBackedSpec)
-    # Every state is inspected for a zero as it is visited, and by the time
-    # the state matches the exponentially-spaced checkpoint the whole orbit
-    # (pre-period plus cycle) has been covered, so a miss is a proof.
-    checkpoint = None
-    power, span = 1, 0
-    prev = None
-    n = 0
-    for u in seqcore.residues(spec, m):
-        n += 1
-        if u == 0:
-            return n
-        if detect_cycle and prev is not None:
-            state = (prev, u)
-            if state == checkpoint:
-                return None
-            span += 1
-            if span == power:
-                checkpoint = state
-                power *= 2
-                span = 0
-        prev = u
-    raise UndeterminedError(
-        f"undetermined within available terms: {m} divides none of the "
-        f"{len(spec.terms)} stored terms"
-    )
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -257,67 +217,92 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-def _lucas_rank_of_prime(spec: seqcore.LucasSpec, p: int) -> int:
-    """alpha(p) for a Lucas sequence and an odd prime p not dividing Q,
-    without a scan.
+def _lucas_rank_of_prime(spec: seqcore.LucasSpec, p: int) -> int | None:
+    """alpha(p) for a Lucas sequence and a prime p, without a scan, or None
+    when p divides no term.
 
-    With D = P^2 - 4Q, p divides U_n for n = p - (D/p), or n = p when
-    p | D (Lucas 1878), so alpha(p) is the smallest divisor of n whose term
-    p divides.  Strong divisibility makes those divisors exactly the
-    multiples of alpha(p), so it is found by dividing n by each prime
-    factor q for as long as p still divides U_(n/q): after trial division
-    of n, one O(log n) jump per prime factor of n, counted with
-    multiplicity.
+    If p | Q then U_n = P^(n-1) mod p, and p does not divide P since
+    gcd(P, Q) = 1, so there is no apparition.  Otherwise p divides U_n for
+    n = 6 when p = 2 (U_n mod 2 has period 2 or 3), and with
+    D = P^2 - 4Q for n = p - (D/p), or n = p when p | D (Lucas 1878).
+    alpha(p) is the smallest divisor of n whose term p divides, and strong
+    divisibility makes those divisors exactly the multiples of alpha(p),
+    so it is found by dividing n by each prime factor q for as long as p
+    still divides U_(n/q): after trial division of n, one O(log n) jump per
+    prime factor of n, counted with multiplicity.
     """
+    if spec.Q % p == 0:
+        return None
     legendre = pow(spec.P * spec.P - 4 * spec.Q, (p - 1) // 2, p)
-    n = p if legendre == 0 else p - 1 if legendre == 1 else p + 1
-    if seqcore._lucas_jump(spec, n, p) != 0:
+    n = 6 if p == 2 else p if legendre == 0 else p - 1 if legendre == 1 else p + 1
+    if seqcore._lucas_jump(spec, n, p)[0] != 0:
         raise StrongDivisibilityError(f"{p} does not divide U_{n} of {spec.selector}")
     a = n
     for q in _prime_factors(n):
-        while a % q == 0 and seqcore._lucas_jump(spec, a // q, p) == 0:
+        while a % q == 0 and seqcore._lucas_jump(spec, a // q, p)[0] == 0:
             a //= q
     return a
 
 
-def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
-    """Yield alpha(p), alpha(p^2), ... for as long as the caller pulls.
+def _stored_levels(spec: seqcore.FileBackedSpec, p: int) -> list[int]:
+    """alpha(p), alpha(p^2), ... as far as the stored terms reach, each
+    level checked against the terms.
 
-    Yields nothing when p divides no term.  Level 1 is p itself for the
-    naturals, the divisor check above for Lucas sequences at odd primes not
-    dividing Q, and the scan above otherwise (p = 2, p | Q where absence
-    must be proved, and stored terms).  At level k >= 2 with
-    a = alpha(p^(k-1)), strong divisibility makes alpha(p^k) a multiple of
-    a.  For Lucas sequences and the naturals the law of repetition
-    (p^(k-1) | C_a implies p^k | C_(p*a)) pins it to a or p*a, so two
-    probes decide the level; stored terms are probed at every stored
-    multiple of a, and running out raises UndeterminedError.
+    The hits of p^j, the stored n with p^j | C_n, are read off the stored
+    multiples of a = alpha(p^(j-1)) (a = 1 for j = 1), and alpha(p^j) is
+    the first.  Strong divisibility makes the hits exactly the stored
+    multiples of alpha(p^j), so any other hit or miss raises
+    StrongDivisibilityError naming its index.
     """
-    if (isinstance(spec, seqcore.LucasSpec) and p != 2 and spec.Q % p != 0
-            and is_prime(p)):
-        a = _lucas_rank_of_prime(spec, p)
-    elif isinstance(spec, seqcore.NaturalsSpec) and p >= 2:
-        a = p
-    else:
-        a = rank_of_apparition(spec, p)
+    terms, levels = spec.terms, []
+    a, pk = 1, p
+    while True:
+        hit = [t % pk == 0 for t in terms[a - 1::a]]    # C_a, C_2a, ...
+        if True not in hit:
+            return levels
+        r = hit.index(True) + 1
+        if hit.count(True) != len(hit) // r or not all(hit[r - 1::r]):
+            n = a * next(i for i, h in enumerate(hit, 1) if h != (i % r == 0))
+            a *= r
+            why = (f"{pk} divides C_{n}, but the least stored index it divides is {a}"
+                   if n % a else f"{pk} divides C_{a} but not C_{n}")
+            raise StrongDivisibilityError(f"strong divisibility violated: {why}")
+        a *= r
+        levels.append(a)
+        pk *= p
+
+
+def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
+    """Yield alpha(p), alpha(p^2), ... for the prime p, for as long as the
+    caller pulls.
+
+    Yields nothing when p divides no term.  Stored terms yield the levels
+    ``_stored_levels`` reads off them, all checked before the first is
+    yielded, then raise UndeterminedError.  Level 1 is p itself for the
+    naturals and the divisor check above for Lucas sequences.  At level
+    k >= 2 with a = alpha(p^(k-1)), strong divisibility makes alpha(p^k) a
+    multiple of a, and the law of repetition (p^(k-1) | C_a implies
+    p^k | C_(p*a)) pins it to a or p*a, so two probes decide the level.
+    """
+    if isinstance(spec, seqcore.FileBackedSpec):
+        levels = _stored_levels(spec, p)
+        yield from levels
+        stored = f"{len(spec.terms)} stored terms"
+        raise UndeterminedError("undetermined within available terms: " + (
+            f"no multiple of {levels[-1]} with {p ** (len(levels) + 1)} | C_n among {stored}"
+            if levels else f"{p} divides none of the {stored}"))
+    a = p if isinstance(spec, seqcore.NaturalsSpec) else _lucas_rank_of_prime(spec, p)
     if a is None:
         return
     yield a
-    file_backed = isinstance(spec, seqcore.FileBackedSpec)
     pk = p
     while True:
         pk *= p
-        probes = range(a, len(spec.terms) + 1, a) if file_backed else (a, p * a)
-        for n in probes:
+        for n in (a, p * a):
             if seqcore.term_mod(spec, n, pk) == 0:
                 a = n
                 break
         else:
-            if file_backed:
-                raise UndeterminedError(
-                    f"undetermined within available terms: no multiple of {a} "
-                    f"with {pk} | C_n among {len(spec.terms)} stored terms"
-                )
             raise StrongDivisibilityError(
                 f"strong divisibility violated: {pk} divides neither C_{a} "
                 f"nor C_{p * a}"
@@ -325,39 +310,41 @@ def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
         yield a
 
 
-def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
-             tail: int = DEFAULT_TAIL) -> PrimeProfile:
-    """Build the PrimeProfile of p for the given sequence.
+def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None) -> PrimeProfile:
+    """Build the PrimeProfile of the prime p for the given sequence.
 
     The stabilization index s is the last ratio position (>= 2) where the
     ratio differs from p, or 1 when every observed ratio past the first
-    equals p.  With the default kmax the chain is extended until ``tail``
-    consecutive ratios equal to p confirm s (hard-capped at
+    equals p.  With the default kmax the chain is extended until
+    DEFAULT_TAIL consecutive ratios equal to p confirm s (hard-capped at
     DEFAULT_KMAX_CAP); an explicit kmax fixes the number of ratios computed
     instead.  Either limit is passed, for Lucas sequences and the naturals
     only, while the last computed ratio still differs from p: those have no
     unacceptable primes, and a short chain is missing evidence, not showing
     a failure.
 
-    Finding alpha(p) takes O(sqrt(p)) trial divisions and a few jumps for
-    Lucas sequences at odd primes not dividing Q, nothing for the naturals
-    (alpha(p) = p), and scans at most alpha(p) terms otherwise; each further
-    level then probes O(1) indices (two for Lucas sequences and the
-    naturals), so the cost no longer grows with alpha(p^k).
+    Nothing is found by scanning.  Finding alpha(p) takes O(sqrt(p)) trial
+    divisions and a few jumps for Lucas sequences, and nothing for the
+    naturals (alpha(p) = p); each further level then probes two indices,
+    so the cost does not grow with alpha(p^k).  Stored terms cost one pass
+    per level over the stored multiples of the previous rank, which also
+    checks every level the file holds against the terms.
 
     A file-backed sequence that runs out of terms mid-chain keeps whatever
     evidence was gathered; if not even one stabilized ratio was confirmed
-    the classification is refused with UndeterminedError.
+    the classification is refused with UndeterminedError.  A composite p
+    raises ValueError.
     """
     if kmax is not None and kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     levels = _apparition_chain(spec, p)
     alpha = next(levels, None)
     if alpha is None:
         return PrimeProfile(p=p, prime_class=PrimeClass.NO_APPARITION,
                             alpha_powers=(), s=None, ratios=(), evidence_kmax=0)
-    chain = [alpha]
-    ratios = [alpha]
+    chain, ratios = [alpha], [alpha]
     s_cand = 1
     exhausted = False
     cap = kmax if kmax is not None else DEFAULT_KMAX_CAP
@@ -367,7 +354,7 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
     # unacceptable.
     computable = not isinstance(spec, seqcore.FileBackedSpec)
     while len(chain) < cap or (computable and len(ratios) == s_cand):
-        if kmax is None and len(ratios) - s_cand >= tail:
+        if kmax is None and len(ratios) - s_cand >= DEFAULT_TAIL:
             break
         try:
             nxt = next(levels)
@@ -380,8 +367,7 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
             s_cand = len(ratios)
 
     evidence = len(ratios)
-    tail_len = evidence - s_cand
-    if tail_len == 0:
+    if evidence == s_cand:
         if exhausted:
             raise UndeterminedError(
                 f"undetermined within available terms: last observed ratio "
@@ -392,11 +378,6 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None,
                             ratios=tuple(ratios), evidence_kmax=evidence)
     s = s_cand
     ideal = all(r == 1 for r in ratios[1:s])
-    return PrimeProfile(
-        p=p,
-        prime_class=PrimeClass.IDEAL if ideal else PrimeClass.ACCEPTABLE,
-        alpha_powers=tuple(chain[:s]),
-        s=s,
-        ratios=tuple(ratios),
-        evidence_kmax=evidence,
-    )
+    return PrimeProfile(p=p, prime_class=PrimeClass.IDEAL if ideal else PrimeClass.ACCEPTABLE,
+                        alpha_powers=tuple(chain[:s]), s=s, ratios=tuple(ratios),
+                        evidence_kmax=evidence)

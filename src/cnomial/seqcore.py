@@ -85,10 +85,11 @@ class FileBackedSpec(Record):
 SequenceSpec = LucasSpec | NaturalsSpec | FileBackedSpec
 
 
-def _lucas_jump(spec: LucasSpec, n: int, m: int | None) -> int:
-    """U_n by binary powering of the companion matrix [[P, -Q], [1, 0]],
-    whose k-th power is [[U_{k+1}, -Q*U_k], [U_k, -Q*U_{k-1}]]; only the
-    pair (U_k, U_{k+1}) is kept.  Doubling uses
+def _lucas_jump(spec: LucasSpec, n: int, m: int | None) -> tuple[int, int]:
+    """(U_n, U_{n+1}) by binary powering of the companion matrix
+    [[P, -Q], [1, 0]], whose k-th power is
+    [[U_{k+1}, -Q*U_k], [U_k, -Q*U_{k-1}]]; only the pair (U_k, U_{k+1}) is
+    kept.  Doubling uses
     U_{2k} = U_k*(2*U_{k+1} - P*U_k) and U_{2k+1} = U_{k+1}^2 - Q*U_k^2,
     which need no division, so any modulus m works (None keeps exact terms).
     """
@@ -100,7 +101,7 @@ def _lucas_jump(spec: LucasSpec, n: int, m: int | None) -> int:
             u, v = v, P * v - Q * u
         if m is not None:
             u, v = u % m, v % m
-    return u
+    return u, v
 
 
 def _lucas_stream(spec: LucasSpec, m: int | None) -> Iterator[int]:
@@ -127,7 +128,7 @@ def term(spec: SequenceSpec, n: int) -> int:
                 f"insufficient terms: need C_{n}, {spec.name} stores {len(spec.terms)}"
             )
         return spec.terms[n - 1]
-    return _lucas_jump(spec, n, None)
+    return _lucas_jump(spec, n, None)[0]
 
 
 def term_mod(spec: SequenceSpec, n: int, m: int) -> int:
@@ -145,7 +146,7 @@ def term_mod(spec: SequenceSpec, n: int, m: int) -> int:
         return n % m
     if isinstance(spec, FileBackedSpec):
         return term(spec, n) % m
-    return _lucas_jump(spec, n, m)
+    return _lucas_jump(spec, n, m)[0]
 
 
 def residues(spec: SequenceSpec, m: int) -> Iterator[int]:
@@ -176,22 +177,6 @@ def terms_prefix(spec: SequenceSpec, count: int) -> list[int]:
     if isinstance(spec, NaturalsSpec):
         return list(range(1, count + 1))
     return list(islice(_lucas_stream(spec, None), count))
-
-
-def validate_strong_divisibility(spec: SequenceSpec, bound: int) -> list[tuple[int, int]]:
-    """All pairs 1 <= m < n <= bound violating gcd(|C_n|, |C_m|) = |C_gcd(n,m)|.
-
-    An empty list means no violation was found up to the bound (it is not a
-    proof for the infinite sequence).
-    """
-    ts = terms_prefix(spec, bound)
-    bad = []
-    for n in range(2, bound + 1):
-        for m in range(1, n):
-            g = math.gcd(abs(ts[n - 1]), abs(ts[m - 1]))
-            if g != abs(ts[math.gcd(n, m) - 1]):
-                bad.append((n, m))
-    return bad
 
 
 def load_terms_file(path: str) -> FileBackedSpec:

@@ -1,5 +1,9 @@
 """References used only by the tests.
 
+* Plain scans: ``rank_of_apparition`` walks C_1, C_2, ... mod m, the
+  reference the scan-free chain walker behind ``classify`` is held
+  against, and ``validate_strong_divisibility`` checks the gcd law
+  pairwise.
 * Per-tuple valuations from the apparition chain: ``corial_valuation`` and
   ``cmultinomial_valuation``, which ``oracle.corial_valuation_table`` and
   the big-integer products are checked against.
@@ -9,9 +13,65 @@
   (sum of part digit sums - digit_sum(n)) / (p - 1).
 """
 
-from cnomial.apparition import StrongDivisibilityError
+import math
+
+from cnomial import seqcore
+from cnomial.apparition import StrongDivisibilityError, UndeterminedError
 from cnomial.oracle import alpha_chain
 from cnomial.polyarith import PolyVector, ValPoly
+
+
+def rank_of_apparition(spec, m):
+    """Smallest n with m | C_n, or None when provably no such n exists.
+
+    Scans C_1, C_2, ... mod m.  For recurrence-backed sequences Brent cycle
+    detection on the state (C_n, C_{n+1}) mod m proves absence; a
+    file-backed sequence that ends first raises UndeterminedError.
+    """
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    detect_cycle = not isinstance(spec, seqcore.FileBackedSpec)
+    # Every state is inspected for a zero as it is visited, and by the time
+    # the state matches the exponentially-spaced checkpoint the whole orbit
+    # (pre-period plus cycle) has been covered, so a miss is a proof.
+    checkpoint = None
+    power, span = 1, 0
+    prev = None
+    n = 0
+    for u in seqcore.residues(spec, m):
+        n += 1
+        if u == 0:
+            return n
+        if detect_cycle and prev is not None:
+            state = (prev, u)
+            if state == checkpoint:
+                return None
+            span += 1
+            if span == power:
+                checkpoint = state
+                power *= 2
+                span = 0
+        prev = u
+    raise UndeterminedError(
+        f"undetermined within available terms: {m} divides none of the "
+        f"{len(spec.terms)} stored terms"
+    )
+
+
+def validate_strong_divisibility(spec, bound):
+    """All pairs 1 <= m < n <= bound violating gcd(|C_n|, |C_m|) = |C_gcd(n,m)|.
+
+    An empty list means no violation was found up to the bound (it is not a
+    proof for the infinite sequence).
+    """
+    ts = seqcore.terms_prefix(spec, bound)
+    bad = []
+    for n in range(2, bound + 1):
+        for m in range(1, n):
+            g = math.gcd(abs(ts[n - 1]), abs(ts[m - 1]))
+            if g != abs(ts[math.gcd(n, m) - 1]):
+                bad.append((n, m))
+    return bad
 
 
 def digit_sum(n, p):

@@ -11,15 +11,16 @@ from cnomial.apparition import (
     _strong_lucas_probable_prime,
     PrimeClass,
     PrimeProfile,
+    StrongDivisibilityError,
     UndeterminedError,
     classify,
     is_prime,
-    rank_of_apparition,
     valuation,
 )
 from cnomial.seqcore import FileBackedSpec, LucasSpec, NaturalsSpec
 
 from conftest import valid_lucas
+from reference import rank_of_apparition
 
 
 def classify_lucas_fast(P, Q, p):
@@ -219,9 +220,22 @@ def test_classify_undetermined_chain(make_chain_spec):
         classify(spec, 2)
 
 
-def test_classify_kmax_validation(fib):
+def test_classify_refuses_a_stored_multiple_without_p(make_chain_spec):
+    # C_2 | C_6 in a strong divisibility sequence, so p | C_2 forces p | C_6.
+    terms = list(make_chain_spec((2, 4), 12).terms)
+    terms[5] = 1
+    with pytest.raises(StrongDivisibilityError, match="2 divides C_2 but not C_6$"):
+        classify(FileBackedSpec(tuple(terms)), 2, kmax=2)
+
+
+def test_classify_kmax_validation(fib, naturals):
     with pytest.raises(ValueError):
         classify(fib, 2, kmax=1)
+    # p itself is validated too: a composite p is refused, not classified.
+    for spec in (fib, naturals):
+        for p in (4, 9, 15):
+            with pytest.raises(ValueError, match="p must be prime"):
+                classify(spec, p)
 
 
 def test_classify_lucas_fast_examples():
@@ -334,8 +348,9 @@ def test_chain_walker_matches_scan_grid(name, p, kmax, request, make_chain_spec)
 
 
 def test_classify_cost_in_probes(fib, monkeypatch):
-    # Counted rather than timed: one scan up to alpha(p) <= p + 1, then at
-    # most two O(log n) jumps per further chain level.
+    # Counted rather than timed: no scan at all (alpha(p) comes from the
+    # divisor check on p + 1), then at most two O(log n) jumps per further
+    # chain level.
     p = 10007
     pulled, jumps = [0], [0]
     residues, term_mod = seqcore.residues, seqcore.term_mod
@@ -353,11 +368,11 @@ def test_classify_cost_in_probes(fib, monkeypatch):
     monkeypatch.setattr(seqcore, "term_mod", counted_term_mod)
     prof = classify(fib, p)
     assert prof.prime_class is PrimeClass.IDEAL
-    assert pulled[0] <= p + 1
+    assert pulled[0] == 0
     assert jumps[0] <= 2 * (len(prof.ratios) - 1)
 
 
-PRIMES_TO_2000 = [p for p in range(3, 2001) if is_prime(p)]
+PRIMES_TO_2000 = [p for p in range(2, 2001) if is_prime(p)]
 
 
 def test_prime_factors():
@@ -372,8 +387,8 @@ def test_prime_factors():
 @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(valid_lucas),
        st.sampled_from(PRIMES_TO_2000))
 def test_lucas_rank_divisor_check_matches_scan(params, p):
-    # Level 1 without a scan (odd p not dividing Q) against the Brent scan.
-    assume(params[1] % p != 0)
+    # Level 1 without a scan against the Brent scan, at every prime: p = 2
+    # descends from U_6, and p | Q has no apparition (both give None).
     spec = LucasSpec(*params)
     assert _lucas_rank_of_prime(spec, p) == rank_of_apparition(spec, p), (params, p)
 
@@ -384,12 +399,15 @@ def test_lucas_rank_when_p_divides_discriminant():
     assert _lucas_rank_of_prime(LucasSpec(1, -1), 5) == 5   # Fibonacci, D = 5
 
 
-@pytest.mark.parametrize("p", [10007, 1000000007])
-def test_classify_lucas_level_one_cost(fib, monkeypatch, p):
-    # Counted rather than timed: for a Lucas sequence at an odd prime not
-    # dividing Q, level 1 pulls no term from the scan and makes one jump to
-    # p - (D/p) plus at most one per prime factor of it; each further level
-    # makes at most two.
+@pytest.mark.parametrize("params, p, alpha", [
+    ((1, -1), 10007, 10008), ((1, -1), 1000000007, 1000000008),   # (5/p) = -1
+    ((1, -1), 2, 3), ((1, 2), 2, None),
+], ids=["10007", "1000000007", "fibonacci-2", "lucas_1_2-2"])
+def test_classify_lucas_level_one_cost(monkeypatch, params, p, alpha):
+    # Counted rather than timed: for a Lucas sequence, level 1 pulls no
+    # term from a scan.  At p | Q it makes no jump; otherwise it makes one
+    # jump to n = p - (D/p) (n = 6 at p = 2) plus at most one per prime
+    # factor of n.  Each further level makes at most two.
     pulled, jumps = [0], [0]
     residues, jump = seqcore.residues, seqcore._lucas_jump
 
@@ -404,11 +422,15 @@ def test_classify_lucas_level_one_cost(fib, monkeypatch, p):
 
     monkeypatch.setattr(seqcore, "residues", counted_residues)
     monkeypatch.setattr(seqcore, "_lucas_jump", counted_jump)
-    prof = classify(fib, p)
-    assert prof.prime_class is PrimeClass.IDEAL
-    assert prof.alpha == p + 1          # (5/p) = -1 for both primes
+    prof = classify(LucasSpec(*params), p)
+    assert prof.prime_class is classify_lucas_fast(*params, p)
     assert pulled[0] == 0
-    assert jumps[0] <= 1 + (p + 1).bit_length() + 2 * (len(prof.ratios) - 1)
+    if alpha is None:
+        assert (prof.alpha_powers, jumps[0]) == ((), 0)
+    else:
+        assert prof.alpha == alpha
+        n = 6 if p == 2 else p + 1
+        assert jumps[0] <= 1 + n.bit_length() + 2 * (len(prof.ratios) - 1)
 
 
 def test_classify_naturals_level_one_cost(naturals, monkeypatch):
@@ -446,3 +468,23 @@ def test_lucas_chain_extended_past_the_cap():
     prof = classify(LucasSpec(7, 1), 2, kmax=4)
     assert prof.prime_class is PrimeClass.IDEAL
     assert prof.ratios == (3, 1, 1, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(-20, 20), st.integers(-20, 20)).filter(valid_lucas),
+       st.sampled_from(PRIMES_TO_200[:15]), st.data())
+def test_stored_term_contradicting_the_chain_is_refused(params, p, data):
+    # A stored Lucas prefix of at least 2*alpha(p) terms with one term
+    # multiplied by p at an index alpha(p) does not divide: p then divides
+    # a term its apparition chain says it cannot, and classify refuses the
+    # file whichever levels it would pull.
+    spec = LucasSpec(*params)
+    alpha = _lucas_rank_of_prime(spec, p)
+    assume(alpha is not None)
+    terms = seqcore.terms_prefix(spec, data.draw(st.integers(2 * alpha, 2 * alpha + 20)))
+    i = data.draw(st.integers(1, len(terms)).filter(lambda i: i % alpha))
+    terms[i - 1] *= p
+    bad = FileBackedSpec(tuple(terms), name="bad")
+    for kmax in (None, 2):
+        with pytest.raises(StrongDivisibilityError, match="strong divisibility violated"):
+            classify(bad, p, kmax=kmax)

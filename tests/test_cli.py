@@ -9,7 +9,7 @@ from pathlib import Path
 from cnomial import cli, engine, oracle
 from cnomial.apparition import classify
 from cnomial.polyarith import PolyMatrix, PolyVector
-from cnomial.seqcore import parse_selector
+from cnomial.seqcore import parse_selector, terms_prefix
 
 from conftest import EDS14_PATH, EDS150_PATH, poly_from_json
 
@@ -248,6 +248,23 @@ def test_insufficient_terms_is_reported(tmp_path):
     path.write_text("1\n1\n2\n")  # alpha(2) = 3 determinable, but terms stop
     code, _ = run_cli("oracle", "--seq", f"file:{path}", "-p", "2", "-n", "10")
     assert code == 1
+
+
+def test_stored_terms_contradicting_the_chain_are_refused(tmp_path, capsys):
+    # Fibonacci with C_7 = 13 doubled is not a strong divisibility sequence
+    # (gcd(C_7, C_14) = 13): 2 divides C_7 although alpha(2) = 3.  Every
+    # command that classifies the file refuses it, naming C_7.
+    terms = terms_prefix(parse_selector("fibonacci"), 40)
+    terms[6] *= 2
+    path = tmp_path / "fib_c7_doubled.txt"
+    path.write_text("".join(f"{t}\n" for t in terms))
+    for argv in (["eval", "-n", "14"], ["classify"], ["verify", "--n-max", "30"],
+                 ["export"], ["vectors"]):
+        code, out = run_cli(*argv, "--seq", f"file:{path}", "-p", "2")
+        err = capsys.readouterr().err
+        assert (code, out) == (1, ""), argv[0]
+        assert err == ("error: strong divisibility violated: 2 divides C_7, but the "
+                       "least stored index it divides is 3\n"), argv[0]
 
 
 def test_same_basename_files_get_their_own_answers(tmp_path, monkeypatch):

@@ -13,10 +13,10 @@ from cnomial.seqcore import (
     term,
     term_mod,
     terms_prefix,
-    validate_strong_divisibility,
 )
 
 from conftest import EDS14_PATH
+from reference import validate_strong_divisibility
 
 
 def test_term_examples(lucas52, fib, eds14):
