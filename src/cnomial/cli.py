@@ -187,7 +187,7 @@ def _cmd_vectors(args, out) -> int:
     _check_numbers(args)
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
-    initvec.vector_for(profile, args.k, 0)  # names the prime class if it has no vector
+    initvec.check_vector_class(profile)
     modulus = profile.stable_modulus
     residues = [args.r] if args.r is not None else list(range(modulus))
     rows = {}

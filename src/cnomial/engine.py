@@ -1,23 +1,21 @@
 """Top-level evaluation of the valuation-counting polynomials.
 
-A query (sequence, p, k, N) is answered by writing N = modulus*n + r,
-expanding n in base p, and contracting
-row_vector(r) * M(n_0) * M(n_1) * ... * M(n_len) * e^T, where e^T is the
-first standard basis column.  The product is accumulated right to left as
-matrix-vector multiplications, so the work is k^2 polynomial products per
-base-p digit of n: logarithmic in N where direct enumeration is
-polynomial.  Every matrix entry is a monomial c*x^row, so one packed
-kernel answers a single N and a sweep alike: a column entry is one integer
-with a fixed-width slot per exponent, a digit step is k^2 integer scalings
-and k shifts, and the contraction with the row vector is packed too, so
-each answer is unpacked once.  ``eval_sweep`` builds its columns from one
-table, one step per quotient.  The exported ``LinearRepresentation``
-evaluates with generic polynomial arithmetic instead.
+The answer at N counts the k-part compositions of N by their carries
+(Knuth and Wilf 1989) in the mixed radix of the apparition chain: alpha(p),
+alpha(p^2)/alpha(p), ... up to a last known level alpha_m, then p forever
+when the prime class says so.  With N = alpha_m*q + r it is the row u(r)
+of the chain (``initvec.row``) times a column for q: at an ideal or
+acceptable prime M(q_0) * ... * M(q_last) * e^T over the base-p digits of
+q, k^2 integer products per digit; otherwise one top digit q with no carry
+out, whose entry c is x^c * C(q-c+k-1, k-1).  With no apparition there is
+no level and the answer is C(N+k-1, k-1).  At an unacceptable prime of a
+sequence file every level the stored terms hold is used; they fix the
+answer while N < alpha_m*(floor(T/alpha_m) + 1) for T stored terms, and
+past that InsufficientTermsError is raised.
 
-Primes with no usable matrix formula still get an answer: if p divides no
-term every valuation is 0 and the polynomial is the constant
-C(N+k-1, k-1); unacceptable primes fall back to the brute-force oracle and
-the result is tagged accordingly.
+Columns are packed integers, so one kernel answers a single N and a sweep
+(``eval_sweep``) alike.  The exported ``LinearRepresentation`` evaluates
+with generic polynomial arithmetic instead.
 """
 
 from __future__ import annotations
@@ -27,11 +25,11 @@ from enum import Enum
 from math import comb
 
 from . import initvec
-from .apparition import PrimeClass, PrimeProfile
+from .apparition import PrimeClass, PrimeProfile, _stored_levels
 from .polyarith import (PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul,
                         slot_width, unpack)
 from .record import Record, _set
-from .seqcore import SequenceSpec
+from .seqcore import InsufficientTermsError, SequenceSpec
 from .transfer import digit_counts, digit_matrices
 
 
@@ -44,18 +42,22 @@ class EvalPath(str, Enum):
     IDEAL = "IdealMatrixProduct"
     ACCEPTABLE = "AcceptableMatrixProduct"
     TRIVIAL = "TrivialNoApparition"
-    FALLBACK = "OracleFallback"
+    STORED = "StoredChainProduct"
 
     def __str__(self) -> str:
         return self.value
 
 
+_PATHS = {PrimeClass.IDEAL: EvalPath.IDEAL, PrimeClass.ACCEPTABLE: EvalPath.ACCEPTABLE,
+          PrimeClass.NO_APPARITION: EvalPath.TRIVIAL, PrimeClass.UNACCEPTABLE: EvalPath.STORED}
+
+
 class QueryResult(Record):
     """Answer polynomial plus how it was obtained.
 
-    ``decomposition`` is (modulus, n, r, digits): N = modulus*n + r and
-    digits is the base-p expansion of n, least significant first (empty for
-    the non-matrix paths).
+    ``decomposition`` is (modulus, n, r, digits): N = modulus*n + r, and
+    digits is the base-p expansion of n, least significant first (empty
+    when no base-p tail is known).
     """
 
     __slots__ = ("polynomial", "path", "decomposition")
@@ -89,14 +91,12 @@ def unit_column(k: int) -> PolyVector:
 
 
 # The packed kernel.  A polynomial is one integer holding the coefficient
-# of x^i in bits [i*width, (i+1)*width) (Kronecker substitution), and entry
-# (row, col) of M(d) is c*x^row: one integer product and one shift.
-# ``_width(k, top)`` is exact for the answer at every n <= top and for every
-# column on the way: no coefficient is negative, the answer at n sums to
-# C(n+k-1, k-1), and entry lam of a column v(q), q <= n, is the naturals'
-# component vector at q, whose coefficients sum to at most C(q+k-1, k-1).
+# of x^i in bits [i*width, (i+1)*width) (Kronecker substitution).
 
 def _width(k: int, top: int) -> int:
+    """Packing is evaluation at x = 2^width, a ring homomorphism, so only
+    the answer at n <= top must fit, and its nonnegative coefficients sum to
+    C(n+k-1, k-1); a column entry that overflows a slot is harmless."""
     return slot_width(comb(top + k - 1, k - 1))
 
 
@@ -115,17 +115,38 @@ def _column(p: int, k: int, digits: list[int], width: int) -> list[int]:
     return column
 
 
-def _terms(u: PolyVector, width: int) -> list[tuple[int, int, int]]:
+def _top_column(k: int, q: int, width: int) -> list[int]:
+    """One top digit q with no carry out: entry c is x^c * C(q-c+k-1, k-1)."""
+    return [comb(q - c + k - 1, k - 1) << c * width if c <= q else 0 for c in range(k)]
+
+
+def _terms(u: list[ValPoly], width: int) -> list[tuple[int, int, int]]:
     """(entry, shift, coefficient) for each monomial of the row u."""
-    return [(lam, e * width, c) for lam, entry in enumerate(u.entries) for e, c in entry.items()]
+    return [(lam, e * width, c) for lam, entry in enumerate(u) for e, c in entry.items()]
 
 
 def _contract(terms: list[tuple[int, int, int]], column: list[int], width: int) -> ValPoly:
     return unpack(sum(c * column[lam] << shift for lam, shift, c in terms), width)
 
 
-def _matrix_path(profile: PrimeProfile) -> EvalPath:
-    return EvalPath.IDEAL if profile.prime_class is PrimeClass.IDEAL else EvalPath.ACCEPTABLE
+def _chain(spec: SequenceSpec, profile: PrimeProfile):
+    """(levels, modulus, tail, bound): the chain levels an answer reads, the
+    last (1 if none), p if every later ratio is p (else None), and the least
+    N they do not answer (None if none).  An unacceptable profile keeps only
+    the levels it classified, so those are read from the terms again."""
+    if profile.prime_class in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE):
+        return profile.alpha_powers[:profile.s], profile.stable_modulus, profile.p, None
+    if profile.prime_class is PrimeClass.NO_APPARITION:
+        return (), 1, None, None
+    levels = _stored_levels(spec, profile.p)
+    return levels, levels[-1], None, levels[-1] * (len(spec.terms) // levels[-1] + 1)
+
+
+def _require_fixed(spec: SequenceSpec, p: int, bound: int | None, n: int) -> None:
+    if bound is not None and n >= bound:
+        raise InsufficientTermsError(
+            f"insufficient terms: the {len(spec.terms)} terms {spec.name} stores fix "
+            f"the answer at p={p} only for N < {bound}, not N = {n}")
 
 
 def _checked(result: QueryResult, k: int, n: int) -> QueryResult:
@@ -147,24 +168,15 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int,
         raise ValueError(f"k must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    cls = profile.prime_class
-
-    if cls is PrimeClass.NO_APPARITION:
-        result = QueryResult(ValPoly({0: comb(n + k - 1, k - 1)}), EvalPath.TRIVIAL,
-                             (1, n, 0, ()))
-    elif cls is PrimeClass.UNACCEPTABLE:
-        from . import oracle
-        poly = oracle.brute_generating_poly(spec, profile.p, k, n)
-        result = QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ()))
-    else:
-        modulus = profile.stable_modulus
-        quot, r = divmod(n, modulus)
-        digits = base_digits(quot, profile.p)
-        width = _width(k, n)
-        poly = _contract(_terms(initvec.vector_for(profile, k, r), width),
-                         _column(profile.p, k, digits, width), width)
-        result = QueryResult(poly, _matrix_path(profile), (modulus, quot, r, tuple(digits)))
-    return _checked(result, k, n)
+    levels, modulus, tail, bound = _chain(spec, profile)
+    _require_fixed(spec, profile.p, bound, n)
+    quot, r = divmod(n, modulus)
+    width = _width(k, n)
+    digits = base_digits(quot, tail) if tail else []
+    column = _column(tail, k, digits, width) if tail else _top_column(k, quot, width)
+    poly = _contract(_terms(initvec.row(levels, k, r), width), column, width)
+    return _checked(QueryResult(poly, _PATHS[profile.prime_class],
+                                (modulus, quot, r, tuple(digits))), k, n)
 
 
 def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
@@ -173,45 +185,32 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
     n = 0, 1, ..., n_max in turn, with the same paths, decompositions and
     errors, each raised at the n where the per-n call raises it.
 
-    On the matrix paths the columns come from a quotient table: reading
-    the digits of q least significant first, v(q) = M(q mod p) * v(q // p)
-    with v(0) = e^T, so the whole sweep costs one packed mat-vec per
-    quotient q <= n_max // modulus, one ``vector_for`` per residue, and one
-    packed contraction and one unpack per n.  The table is built as the
-    sweep reaches each q, with one slot width, ``_width(k, n_max)``.  An
-    unacceptable prime's sweep comes from ``oracle.generating_polys``,
-    whose work bound covers the whole sweep; a prime with no apparition is
-    evaluated per n.
+    With a base-p tail the columns come from a quotient table: reading the
+    digits of q least significant first, v(q) = M(q mod p) * v(q // p) with
+    v(0) = e^T, so the whole sweep costs one packed mat-vec per quotient
+    q <= n_max // modulus, one row per residue, and one packed contraction
+    and one unpack per n, all at the slot width ``_width(k, n_max)``.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if profile.prime_class is PrimeClass.UNACCEPTABLE:
-        from . import oracle
-        polys = oracle.generating_polys(spec, profile.p, k, n_max)
-        for n, poly in enumerate(polys):
-            yield _checked(QueryResult(poly, EvalPath.FALLBACK, (1, n, 0, ())), k, n)
-        return
-    if profile.prime_class not in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE):
-        for n in range(n_max + 1):
-            yield eval_generating_poly(spec, profile, k, n)
-        return
-    p = profile.p
-    modulus = profile.stable_modulus
-    path = _matrix_path(profile)
+    levels, modulus, tail, bound = _chain(spec, profile)
+    path = _PATHS[profile.prime_class]
     width = _width(k, n_max)
     shifts = [row * width for row in range(k)]
-    table = [_column(p, k, [], width)]
+    table = [[1] + [0] * (k - 1)]           # v(0) = e^T
     terms: dict[int, list[tuple[int, int, int]]] = {}
     for q in range(n_max // modulus + 1):
-        if q:
-            table.append(_step(digit_counts(p, k, q % p), table[q // p], shifts))
-        digits = tuple(base_digits(q, p))
+        _require_fixed(spec, profile.p, bound, q * modulus)
+        if tail and q:
+            table.append(_step(digit_counts(tail, k, q % tail), table[q // tail], shifts))
+        column = table[q] if tail else _top_column(k, q, width)
+        digits = tuple(base_digits(q, tail)) if tail else ()
         for r in range(min(modulus, n_max - q * modulus + 1)):
             if r not in terms:
-                terms[r] = _terms(initvec.vector_for(profile, k, r), width)
-            poly = _contract(terms[r], table[q], width)
+                terms[r] = _terms(initvec.row(levels, k, r), width)
+            poly = _contract(terms[r], column, width)
             yield _checked(QueryResult(poly, path, (modulus, q, r, digits)),
                            k, q * modulus + r)
 

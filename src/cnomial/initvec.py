@@ -2,13 +2,16 @@
 
 The digit matrices are universal; everything the sequence contributes to a
 query enters through one row vector u(r) indexed by the residue r of the
-query index modulo alpha(p^s).  Each k-tuple of residues below alpha(p^s)
-summing to r + lam*alpha(p^s) contributes to entry lam a power of x given by
-its carry exponent (``f_value``), a count of carries in the mixed radix
-alpha(p), alpha(p^2)/alpha(p), ..., alpha(p^s)/alpha(p^(s-1)).  The tuples
-are never enumerated: the vector is a product of s small carry-transfer
-steps, one per digit of r in that radix, just as the digit matrices carry
-across the base-p digits of the quotient.
+query index modulo the last chain level alpha(p^s).  Each k-tuple of
+residues below alpha(p^s) summing to r + lam*alpha(p^s) contributes to
+entry lam a power of x given by its carry exponent (``f_value``), a count
+of carries in the mixed radix b_1 = alpha(p), b_j = alpha(p^j)/alpha(p^(j-1)).
+The tuples are never enumerated: u(r) = e_0^T * S_(b_1)(t_1) * ... *
+S_(b_s)(t_s) over the digits t_j of r in that radix, where S_b(t) has entry
+(c_in, c_out) = x^c_in * N_b(t - c_in + c_out*b), N_b counting the k-tuples
+of digits below b with that sum.  S_p(d) is the universal digit matrix
+M(d), and both come from ``transfer.digit_counts``: one carry step in
+every radix.
 
 For an ideal prime alpha(p^s) = alpha(p), so every level past the first has
 radix 1 and only shifts carry lam by x^lam: entry lam is x^((s-1)*lam) times
@@ -18,16 +21,20 @@ closed form as a special case.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .apparition import PrimeClass, PrimeProfile
-from .polyarith import PolyVector, ValPoly
-from .transfer import digit_sum_count
+from .polyarith import PolyVector, ValPoly, slot_width, unpack
+from .transfer import digit_counts
 
 
-def _require_class(profile: PrimeProfile, allowed: tuple[PrimeClass, ...]) -> None:
-    if profile.prime_class not in allowed:
+def check_vector_class(profile: PrimeProfile) -> None:
+    """Raise ValueError unless the prime is ideal or acceptable, the classes
+    whose residue vectors are finite data."""
+    if profile.prime_class not in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE):
         raise ValueError(
             f"p={profile.p} is {profile.prime_class.value}; "
-            f"this vector needs {' or '.join(c.value for c in allowed)}"
+            f"this vector needs Ideal or Acceptable"
         )
 
 
@@ -39,7 +46,7 @@ def f_value(profile: PrimeProfile, k: int, lam: int, r: int,
     + sum_{j=1..s} (floor(r/alpha(p^j)) - sum_i floor(r_i/alpha(p^j))).
     Requires every r_i in [0, alpha(p^s)) and sum(rtuple) = r + lam*alpha(p^s).
     """
-    _require_class(profile, (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE))
+    check_vector_class(profile)
     powers = profile.alpha_powers
     base = powers[-1]
     if len(rtuple) != k:
@@ -60,54 +67,41 @@ def f_value(profile: PrimeProfile, k: int, lam: int, r: int,
     return value
 
 
+def row(levels: Sequence[int], k: int, r: int) -> list[ValPoly]:
+    """u(r) over the chain ``levels`` (alpha(p), ..., alpha(p^s)), r in
+    [0, alpha(p^s)), built on packed integers.  Its k-tuples number
+    alpha(p^s)^(k-1) over all entries, which bounds every coefficient."""
+    width = slot_width(max(levels, default=1) ** (k - 1))
+    packed = [1] + [0] * (k - 1)
+    place = 1
+    for a in levels:
+        radix, rem = divmod(a, place)
+        if rem or not radix:
+            raise ArithmeticError(f"alpha chain {levels} is not a divisor chain")
+        counts = digit_counts(radix, k, r // place % radix)
+        new = [0] * k
+        for c_in, v in enumerate(packed):
+            if v:
+                v <<= c_in * width
+                new = [u + c * v for u, c in zip(new, counts[c_in])]
+        packed, place = new, a
+    return [unpack(v, width) for v in packed]
+
+
 def vector_for(profile: PrimeProfile, k: int, r: int) -> PolyVector:
     """Length-k row u(r) for an ideal or acceptable prime, r in [0, alpha(p^s)).
 
     Entry lam sums x^(f - lam) over all k-tuples of residues below
     alpha(p^s) summing to r + lam*alpha(p^s), with f the carry exponent of
     the tuple (``f_value``).
-
-    f - lam is the number of carries c_1 + ... + c_(s-1) when the tuple is
-    added in the mixed radix b_1 = alpha(p), b_j = alpha(p^j)/alpha(p^(j-1)),
-    and the carry out of the top level is c_s = lam.  So the row is built
-    digit by digit of r, like the universal digit matrices: one polynomial
-    per carry in [0, k), and at level j the k digits below b_j plus the
-    carry c_in must make t_j + c_out*b_j, where t_j is digit j of r.  That
-    is s*k^2 digit_sum_count calls, with no tuple enumerated.
     """
-    _require_class(profile, (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE))
+    check_vector_class(profile)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     base = profile.stable_modulus
     if not 0 <= r < base:
         raise ValueError(f"residue {r} not in [0, {base})")
-    levels = profile.alpha_powers[:profile.s]
-    # carries[c] maps exponent -> number of digit prefixes leaving carry c;
-    # place = alpha(p^(j-1)) is the place value of digit j.
-    carries: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k - 1)]
-    place = 1
-    for j, a in enumerate(levels):
-        radix, rem = divmod(a, place)
-        if rem or not radix:
-            raise ArithmeticError(
-                f"alpha chain {profile.alpha_powers} is not a divisor chain: "
-                f"inconsistent profile for p={profile.p}"
-            )
-        t = r // place % radix
-        top = j == len(levels) - 1
-        nxt = []
-        for c_out in range(k):
-            shift = 0 if top else c_out
-            acc: dict[int, int] = {}
-            for c_in, poly in enumerate(carries):
-                w = digit_sum_count(k, radix, t + c_out * radix - c_in) if poly else 0
-                if w:
-                    for e, n in poly.items():
-                        acc[e + shift] = acc.get(e + shift, 0) + w * n
-            nxt.append(acc)
-        carries = nxt
-        place = a
-    return PolyVector.row(*(ValPoly(poly) for poly in carries))
+    return PolyVector.row(*row(profile.alpha_powers[:profile.s], k, r))
 
 
 # perfbench/probes.py times the builder under this name.

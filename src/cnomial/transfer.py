@@ -5,8 +5,8 @@ polynomials across one digit of the index.  Its entries are universal: they
 count bounded digit tuples and know nothing about any particular sequence.
 Entry (row, col) is x^row * N(d - row + col*p) where N(t) is the number of
 k-tuples of base-p digits summing to t.  ``digit_counts`` holds the integers
-N(d - row + col*p); the polynomial matrices are built from it, and the
-evaluation loop uses it directly.
+N(d - row + col*p), in any radix in place of p; the polynomial matrices are
+built from it, and the digit loop and the residue vectors use it directly.
 """
 
 from __future__ import annotations
@@ -36,20 +36,26 @@ def digit_sum_count(k: int, base: int, t: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def digit_counts(p: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """The integers c[row][col] = N(d - row + col*p) of the digit-d matrix,
-    whose entry (row, col) is the monomial c[row][col] * x^row.
+# A chain's first radix alpha(p) can be about p, and a sweep over every
+# residue would otherwise keep one key per residue for good.
+DIGIT_COUNTS_CACHE = 4096
+
+
+@lru_cache(maxsize=DIGIT_COUNTS_CACHE)
+def digit_counts(b: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The integers c[row][col] = N_b(d - row + col*b) of the radix-b carry
+    step for digit d, whose entry from carry row in to carry col out is
+    c[row][col] * x^row: the digit-d matrix when b = p.
 
     Cached per digit, so a caller that needs only the digits of one index
-    (or one digit) never builds all p of them.
+    (or one digit) never builds all b of them.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if not 0 <= d < p:
-        raise ValueError(f"digit {d} out of range for base {p}")
+    if not 0 <= d < b:
+        raise ValueError(f"digit {d} out of range for base {b}")
     return tuple(
-        tuple(digit_sum_count(k, p, d - lam + mu * p) for mu in range(k))
+        tuple(digit_sum_count(k, b, d - lam + mu * b) for mu in range(k))
         for lam in range(k)
     )
 

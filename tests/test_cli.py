@@ -343,7 +343,8 @@ def test_oracle_work_is_refused_up_front(tmp_path, make_chain_spec, capsys, monk
     spec = make_chain_spec((1,) * 14 + (3, 3), 60)
     path = tmp_path / "unacceptable.txt"
     path.write_text("".join(f"{t}\n" for t in spec.terms))
-    # Both sides of verify convolve there, within the sweep bound.
+    # The oracle convolves there and the matrix side reads the stored chain,
+    # each within its bound.
     assert run_cli("verify", "--seq", f"file:{path}", "-p", "2", "-k", "3",
                    "--n-max", "50") == (0, f"verified file:{path} p=2 k=3 for all n <= 50\n")
     code, out = run_cli("bench", "--seq", "fibonacci", "-p", "2", "-k", "3",
@@ -362,12 +363,17 @@ def test_oracle_work_is_refused_up_front(tmp_path, make_chain_spec, capsys, monk
                  ["verify", "--seq", "fibonacci", "-p", "2", "-k", "3",
                   "--n-max", "1000000"],
                  ["verify", "--seq", f"file:{path}", "-p", "2", "-k", "3",
-                  "--n-max", "1000000"],
-                 # An unacceptable prime is answered by enumeration.
-                 ["eval", "--seq", f"file:{path}", "-p", "2", "-k", "3", "-n", "10000000"]):
+                  "--n-max", "1000000"]):
         code, out = run_cli(*argv)
         assert (code, out) == (1, ""), argv[0]
         assert " refused: " in capsys.readouterr().err
+    # An unacceptable prime is answered from the stored chain, as far as the
+    # 60 terms fix it.
+    assert run_cli("eval", "--seq", f"file:{path}", "-p", "2", "-k", "3",
+                   "-n", "10000000") == (1, "")
+    assert capsys.readouterr().err == (
+        "error: insufficient terms: the 60 terms unacceptable.txt stores fix "
+        "the answer at p=2 only for N < 63, not N = 10000000\n")
 
 
 def test_parser_is_built_once_and_reused(capsys):
@@ -428,8 +434,26 @@ def test_unacceptable_eval_in_a_fresh_process(tmp_path, make_chain_spec):
     spec = make_chain_spec((1,) * 14 + (3, 3), 60)
     path = tmp_path / "unacceptable.txt"
     path.write_text("".join(f"{t}\n" for t in spec.terms))
-    out = run_fresh("import sys; from cnomial import cli; sys.exit(cli.main())",
+    out = run_fresh("import sys; from cnomial import cli; code = cli.run(sys.argv[1:]); "
+                    "print('cnomial.oracle' in sys.modules); sys.exit(code)",
                     "eval", "--seq", f"file:{path}", "-p", "2", "-k", "3", "-n", "40")
-    assert out == f"{oracle.brute_generating_poly(spec, 2, 3, 40)}\n"
+    assert out == f"{oracle.brute_generating_poly(spec, 2, 3, 40)}\nFalse\n"
     assert engine.eval_generating_poly(spec, classify(spec, 2), 3, 40).path \
-        is engine.EvalPath.FALLBACK
+        is engine.EvalPath.STORED
+
+
+def test_verify_checks_the_stored_chain(tmp_path, make_chain_spec, monkeypatch):
+    # At an unacceptable prime verify compares the stored-chain answers with
+    # the oracle's: a kernel that multiplies every answer by x keeps the
+    # coefficient sums and is caught at n = 0.
+    spec = make_chain_spec((1,) * 14 + (3, 3), 60)
+    path = tmp_path / "unacceptable.txt"
+    path.write_text("".join(f"{t}\n" for t in spec.terms))
+    real = engine._top_column
+
+    def times_x(k, q, width):
+        return [v << width for v in real(k, q, width)]
+
+    monkeypatch.setattr(engine, "_top_column", times_x)
+    assert run_cli("verify", "--seq", f"file:{path}", "-p", "2", "-k", "3", "--n-max", "50") \
+        == (2, "divergence at n=0: matrix 1*x vs oracle 1\n")

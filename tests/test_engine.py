@@ -2,11 +2,11 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnomial import engine, oracle
-from cnomial.apparition import classify, is_prime
+from cnomial import engine, oracle, transfer
+from cnomial.apparition import PrimeClass, classify, is_prime
 from cnomial.engine import (
     EvalPath,
     NormalizationError,
@@ -17,7 +17,7 @@ from cnomial.engine import (
     unit_column,
 )
 from cnomial.polyarith import PolyVector, ValPoly, mat_vec_mul, slot_width, unpack
-from cnomial.seqcore import LucasSpec
+from cnomial.seqcore import InsufficientTermsError, LucasSpec
 from cnomial.transfer import digit_matrices, multinomial_matrix
 
 from reference import component_vector, digit_sum
@@ -136,7 +136,7 @@ def test_unacceptable_falls_back_to_oracle(make_chain_spec):
     prof = classify(spec, 2, kmax=5)
     for n in (0, 7, 30):
         res = eval_generating_poly(spec, prof, 2, n)
-        assert res.path is EvalPath.FALLBACK
+        assert res.path is EvalPath.STORED
         assert res.polynomial == oracle.brute_generating_poly(spec, 2, 2, n)
 
 
@@ -368,30 +368,35 @@ def test_eval_sweep_other_classes_and_chains(make_chain_spec):
 
 
 def test_eval_sweep_unacceptable_does_not_enumerate(make_chain_spec, monkeypatch):
-    # The sweep at an unacceptable prime convolves; enumeration there would
-    # cost C(n+k, k) tuples over the whole sweep.
+    # The sweep at an unacceptable prime reads the stored chain; enumeration
+    # there would cost C(n+k, k) tuples over the whole sweep.  The 60 terms
+    # fix every level at or below n while n < 54 * 2.
     unacc = make_chain_spec((1, 2, 6, 18, 54), 60)
     prof = classify(unacc, 2, kmax=5)
-    want = [eval_generating_poly(unacc, prof, 3, n) for n in range(41)]
+    want = [eval_generating_poly(unacc, prof, 3, n) for n in range(108)]
 
     def refuse(*args):
         raise AssertionError("enumerated")
 
     monkeypatch.setattr(oracle, "compositions", refuse)
-    assert list(engine.eval_sweep(unacc, prof, 3, 40)) == want
-    with pytest.raises(oracle.WorkLimitError):
-        next(engine.eval_sweep(unacc, prof, 3, 10 ** 6))
+    assert list(engine.eval_sweep(unacc, prof, 3, 40)) == want[:41]
+    sweep = engine.eval_sweep(unacc, prof, 3, 10 ** 6)
+    assert [next(sweep) for _ in range(108)] == want
+    with pytest.raises(InsufficientTermsError, match="only for N < 108, not N = 108"):
+        next(sweep)
+    with pytest.raises(InsufficientTermsError, match="only for N < 108, not N = 108"):
+        eval_generating_poly(unacc, prof, 3, 108)
 
 
 def test_eval_sweep_builds_one_vector_per_residue(fib, profile_of, monkeypatch):
     calls = []
-    real = engine.initvec.vector_for
+    real = engine.initvec.row
 
-    def counted(profile, k, r):
+    def counted(levels, k, r):
         calls.append(r)
-        return real(profile, k, r)
+        return real(levels, k, r)
 
-    monkeypatch.setattr(engine.initvec, "vector_for", counted)
+    monkeypatch.setattr(engine.initvec, "row", counted)
     prof = profile_of(fib, 2)
     assert len(list(engine.eval_sweep(fib, prof, 3, 200))) == 201
     assert sorted(calls) == list(range(prof.stable_modulus))
@@ -400,15 +405,15 @@ def test_eval_sweep_builds_one_vector_per_residue(fib, profile_of, monkeypatch):
 def test_eval_sweep_normalization_at_the_same_n(lucas52, profile_of, monkeypatch):
     # A residue vector that is wrong for r = 5 only: the sweep yields every
     # n before the first n = 5 (mod 8) and raises there, as per-n calls do.
-    real = engine.initvec.vector_for
+    real = engine.initvec.row
 
-    def corrupt(profile, k, r):
-        u = real(profile, k, r)
+    def corrupt(levels, k, r):
+        u = real(levels, k, r)
         if r != 5:
             return u
-        return PolyVector.row(*(e + ValPoly.one() for e in u.entries))
+        return [e + ValPoly.one() for e in u]
 
-    monkeypatch.setattr(engine.initvec, "vector_for", corrupt)
+    monkeypatch.setattr(engine.initvec, "row", corrupt)
     prof = profile_of(lucas52, 7)
     sweep = engine.eval_sweep(lucas52, prof, 2, 40)
     assert [next(sweep).decomposition[2] for _ in range(5)] == [0, 1, 2, 3, 4]
@@ -416,3 +421,72 @@ def test_eval_sweep_normalization_at_the_same_n(lucas52, profile_of, monkeypatch
         next(sweep)
     with pytest.raises(NormalizationError):
         eval_generating_poly(lucas52, prof, 2, 5)
+
+
+@st.composite
+def stored_unacceptable(draw):
+    # A divisor chain with ratios 1-6 (1 included) read from a file, and a
+    # kmax at whose last ratio the chain still differs from p, so the
+    # profile is unacceptable and may keep fewer levels than the file holds.
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    chain = [draw(st.integers(1, 6))]
+    for _ in range(draw(st.integers(1, 4))):
+        ratio = draw(st.integers(1, 6))
+        if chain[-1] * ratio <= 30:
+            chain.append(chain[-1] * ratio)
+    kmax = draw(st.integers(2, max(2, len(chain))))
+    ratios = [chain[0]] + [b // a for a, b in zip(chain, chain[1:])]
+    assume(kmax <= len(chain) and ratios[kmax - 1] != p)
+    terms = draw(st.integers(chain[-1], 40))
+    return tuple(chain), terms, p, kmax, draw(st.integers(2, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stored_unacceptable())
+def test_stored_chain_matches_enumeration(make_chain_spec, case):
+    chain, terms, p, kmax, k = case
+    spec = make_chain_spec(chain, terms, p=p)
+    prof = classify(spec, p, kmax=kmax)
+    assert prof.prime_class is PrimeClass.UNACCEPTABLE
+    # The next level is a multiple of chain[-1] above the stored terms, so
+    # the terms fix every answer below the next such multiple.  A file that
+    # reaches just below it holds the same chain and gives the oracle the
+    # terms it reads.
+    bound = chain[-1] * (terms // chain[-1] + 1)
+    longer = make_chain_spec(chain, bound - 1, p=p)
+    table = oracle.corial_valuation_table(longer, p, bound - 1)
+    want = [oracle.brute_generating_poly(longer, p, k, n, _table=table) for n in range(bound)]
+    got = [eval_generating_poly(spec, prof, k, n) for n in range(bound)]
+    assert [res.polynomial for res in got] == want, case
+    assert {res.path for res in got} == {EvalPath.STORED}
+    assert list(engine.eval_sweep(spec, prof, k, bound - 1)) == got
+    with pytest.raises(InsufficientTermsError):
+        eval_generating_poly(spec, prof, k, bound)
+    sweep = engine.eval_sweep(spec, prof, k, bound)
+    assert [next(sweep) for _ in range(bound)] == got
+    with pytest.raises(InsufficientTermsError):
+        next(sweep)
+
+
+def test_stored_chain_reads_levels_past_the_profile(make_chain_spec):
+    # Seventeen levels stored, sixteen classified: the profile's chain
+    # would give 3 + 4*x^2 at N = 6, with the right coefficient sum.
+    spec = make_chain_spec((1,) * 14 + (3, 3, 6), 60)
+    prof = classify(spec, 2)
+    assert (prof.prime_class, len(prof.alpha_powers)) == (PrimeClass.UNACCEPTABLE, 16)
+    want = P({0: 2, 1: 1, 3: 4})
+    assert want == oracle.brute_generating_poly(spec, 2, 2, 6)
+    assert eval_generating_poly(spec, prof, 2, 6).polynomial == want
+    assert list(engine.eval_sweep(spec, prof, 2, 6))[6].polynomial == want
+
+
+def test_digit_counts_cache_is_bounded(naturals, profile_of):
+    # alpha(p) = p for the naturals: every residue of a sweep keys its own
+    # first-level carry step.
+    p = 4099
+    assert p > transfer.DIGIT_COUNTS_CACHE
+    prof = profile_of(naturals, p)
+    for res in engine.eval_sweep(naturals, prof, 2, p - 1):
+        pass
+    assert res.decomposition == (p, 0, p - 1, ())
+    assert transfer.digit_counts.cache_info().currsize <= transfer.DIGIT_COUNTS_CACHE

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnomial import initvec
+from cnomial import initvec, transfer
 from cnomial.apparition import PrimeClass, PrimeProfile, classify
 from cnomial.engine import linear_representation
 from cnomial.initvec import f_value, vector_for
@@ -188,14 +188,16 @@ def test_carry_dp_matches_enumeration_on_lucas(params, p, k, data):
 
 
 def test_acceptable_route_cost_at_modulus_50(make_chain_spec, monkeypatch):
-    # Counted rather than timed: s*k^2 digit_sum_count calls per residue
-    # and no tuple, where enumeration made O(modulus^(k-1)) f_value calls.
+    # Counted rather than timed: at most s*k^2 digit_sum_count calls per
+    # residue (the carry steps are cached per digit) and no tuple, where
+    # enumeration made O(modulus^(k-1)) f_value calls.
     prof = classify(make_chain_spec((2, 10, 50, 150), 150, p=3), 3)
     assert (prof.prime_class, prof.alpha_powers) == (PrimeClass.ACCEPTABLE, (2, 10, 50))
     calls = {"f_value": 0, "digit_sum_count": 0}
+    owners = {"f_value": initvec, "digit_sum_count": transfer}
 
     def counted(name):
-        real = getattr(initvec, name)
+        real = getattr(owners[name], name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -203,7 +205,8 @@ def test_acceptable_route_cost_at_modulus_50(make_chain_spec, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(initvec, name, counted(name))
+        monkeypatch.setattr(owners[name], name, counted(name))
+    transfer.digit_counts.cache_clear()
     k, m, s = 4, prof.stable_modulus, prof.s
     rep = linear_representation(prof, k)
     assert len(rep.residue_vectors) == m
