@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: eval, oracle, verify, classify, vectors, matrices, export,
-bench.  Exit codes: 0 success, 1 usage error, 2 verification divergence,
+Subcommands: eval, oracle, verify, classify, vectors, matrices, export.
+Exit codes: 0 success, 1 usage error, 2 verification divergence,
 3 classification undetermined within the available terms.
 
 All numeric output is printed as decimal strings; polynomial JSON maps
@@ -12,14 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from functools import lru_cache
-from math import comb
 
 from . import apparition, engine, initvec, seqcore
 from .apparition import UndeterminedError
-
-DEFAULT_ORACLE_CUTOFF = 20000
 
 
 class _UsageError(Exception):
@@ -92,16 +88,6 @@ def build_parser() -> _Parser:
     p_export.add_argument("--out", default=None, help="output path (default stdout)")
     p_export.set_defaults(func=_cmd_export)
 
-    p_bench = sub.add_parser("bench", help="time the matrix path against the oracle")
-    _add_common(p_bench)
-    p_bench.add_argument("--n-grid", default="100,1000,10000",
-                         help="comma-separated list of N values")
-    p_bench.add_argument("--oracle-cutoff", type=int, default=DEFAULT_ORACLE_CUTOFF,
-                         help="skip the oracle above this N")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="matrix-path timing repeats (minimum is reported)")
-    p_bench.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -140,6 +126,8 @@ def _cmd_eval(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     _check_numbers(args)
+    if args.bigint_samples < 0:
+        raise _UsageError(f"--bigint-samples must be >= 0, got {args.bigint_samples}")
     spec = _parse_spec(args)
     from . import oracle
     poly = oracle.brute_generating_poly(spec, args.p, args.k, args.n,
@@ -247,58 +235,6 @@ def _cmd_export(args, out) -> int:
         print(f"wrote {args.out}", file=out)
     else:
         print(text, file=out)
-    return 0
-
-
-def _time_matrix(spec, profile, k, n, repeats) -> float:
-    best = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        engine.eval_generating_poly(spec, profile, k, n)
-        dt = time.perf_counter() - t0
-        best = dt if best is None else min(best, dt)
-    return best
-
-
-def _cmd_bench(args, out) -> int:
-    _check_numbers(args)
-    spec = _parse_spec(args)
-    profile = apparition.classify(spec, args.p)
-    from . import oracle
-    try:
-        grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
-    except ValueError:
-        raise _UsageError(f"bad --n-grid {args.n_grid!r}") from None
-    if not grid or any(n < 0 for n in grid):
-        raise _UsageError(f"bad --n-grid {args.n_grid!r}")
-    rows = []
-    for n in grid:
-        t_matrix = _time_matrix(spec, profile, args.k, n, args.repeats)
-        row = {
-            "n": str(n),
-            "digits": str(len(engine.base_digits(n, args.p))),
-            "tuples": str(comb(n + args.k - 1, args.k - 1)),
-            "matrix_s": f"{t_matrix:.6f}",
-        }
-        row["oracle_s"], row["ratio"] = "skipped", "n/a"
-        if n <= args.oracle_cutoff:
-            t0 = time.perf_counter()
-            try:
-                oracle.brute_generating_poly(spec, args.p, args.k, n)
-            except oracle.WorkLimitError:
-                pass
-            else:
-                t_oracle = time.perf_counter() - t0
-                row["oracle_s"] = f"{t_oracle:.6f}"
-                row["ratio"] = f"{t_oracle / t_matrix:.1f}" if t_matrix > 0 else "inf"
-        rows.append(row)
-    if args.format == "json":
-        payload = {"seq": args.seq, "p": args.p, "k": args.k, "rows": rows}
-        print(_compact_json(payload), file=out)
-    else:
-        for row in rows:
-            print("N={n} digits={digits} tuples={tuples} matrix_s={matrix_s} "
-                  "oracle_s={oracle_s} ratio={ratio}".format(**row), file=out)
     return 0
 
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from math import comb
-from operator import lshift
+from itertools import accumulate
+from math import comb, prod
+from operator import lshift, mul
 
 from . import apparition, seqcore
 from .apparition import StrongDivisibilityError
@@ -47,12 +48,17 @@ def compositions(total: int, k: int):
     colexicographic order (rightmost part varies slowest)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in compositions(total - last, k - 1):
-            yield rest + (last,)
+    # An odometer: the lowest nonzero part i gives 1 to part i+1, the rest to part 0.
+    parts = [total] + [0] * (k - 1)
+    while True:
+        yield tuple(parts)
+        i = 0
+        while i < k and not parts[i]:
+            i += 1
+        if i >= k - 1:
+            return
+        parts[i], parts[0] = 0, parts[i] - 1  # in this order, for i = 0
+        parts[i + 1] += 1
 
 
 def alpha_chain(spec: SequenceSpec, p: int, limit: int) -> list[int]:
@@ -95,14 +101,12 @@ def cmultinomial_bigint(spec: SequenceSpec, n: int, mtuple: tuple[int, ...]) -> 
         raise ValueError(f"tuple entries must be nonnegative: {mtuple}")
     if sum(mtuple) != n:
         raise ValueError(f"tuple {mtuple} sums to {sum(mtuple)}, expected {n}")
-    terms = seqcore.terms_prefix(spec, n)
-    orials = [1] * (n + 1)
-    for i in range(1, n + 1):
-        orials[i] = orials[i - 1] * terms[i - 1]
-    denom = 1
-    for m in mtuple:
-        denom *= orials[m]
-    q, rem = divmod(orials[n], denom)
+    # The C-orials at the parts only: all n of them take Theta(n^3) bits.
+    orials = dict.fromkeys(mtuple)
+    for i, orial in enumerate(accumulate(seqcore.terms_prefix(spec, n), mul, initial=1)):
+        if i in orials:
+            orials[i] = orial
+    q, rem = divmod(orial, prod(orials[m] for m in mtuple))
     if rem != 0:
         raise StrongDivisibilityError(
             f"strong divisibility violated: C-multinomial ({n}; {mtuple}) is not an integer"
@@ -132,24 +136,24 @@ def brute_generating_poly(spec: SequenceSpec, p: int, k: int, n: int, *,
         )
     table = _table if _table is not None else corial_valuation_table(spec, p, n)
     top = table[n]
+    samples: set[int] = set()  # ranks in the enumeration below to cross-check
+    if bigint_samples > 0:
+        rng = rng or random.Random(0)
+        samples = set(rng.sample(range(tuples), min(bigint_samples, tuples)))
     counts: dict[int, int] = {}
-    for mtuple in compositions(n, k):
+    for rank, mtuple in enumerate(compositions(n, k)):
         v = top - sum(table[m] for m in mtuple)
         if v < 0:
             raise StrongDivisibilityError(
                 f"negative valuation for ({n}; {mtuple}): sequence is not strong divisibility"
             )
         counts[v] = counts.get(v, 0) + 1
-    if bigint_samples > 0:
-        rng = rng or random.Random(0)
-        pool = list(compositions(n, k))
-        for mtuple in rng.sample(pool, min(bigint_samples, len(pool))):
+        if rank in samples:
             direct = apparition.valuation(cmultinomial_bigint(spec, n, mtuple), p)
-            fast = top - sum(table[m] for m in mtuple)
-            if direct != fast:
+            if direct != v:
                 raise StrongDivisibilityError(
                     f"valuation mismatch for ({n}; {mtuple}): "
-                    f"big-integer {direct}, chain {fast}"
+                    f"big-integer {direct}, chain {v}"
                 )
     return ValPoly(counts)
 

@@ -7,6 +7,8 @@
 * Per-tuple valuations from the apparition chain: ``corial_valuation`` and
   ``cmultinomial_valuation``, which ``oracle.corial_valuation_table`` and
   the big-integer products are checked against.
+* ``compositions``, the recursive definition of the colex order that
+  ``oracle.compositions`` enumerates without recursion.
 * Tuple-counting polynomials for the plain naturals, the independent
   reference for the digit-matrix advancement identity.  They come from
   digit sums alone: a k-part composition of n has multinomial valuation
@@ -110,6 +112,17 @@ def cmultinomial_valuation(spec, p, n, mtuple):
             f"negative valuation for ({n}; {mtuple}): sequence is not strong divisibility"
         )
     return v
+
+
+def compositions(total, k):
+    """All k-tuples of nonnegative integers summing to total, in
+    colexicographic order (rightmost part varies slowest)."""
+    if k == 1:
+        yield (total,)
+        return
+    for last in range(total + 1):
+        for rest in compositions(total - last, k - 1):
+            yield rest + (last,)
 
 
 _digit_count_cache = {}

@@ -55,6 +55,12 @@ def test_oracle_subcommand_matches_eval():
         assert a == b
 
 
+def test_oracle_at_many_parts():
+    # k - 1 zero parts and one unit: enumeration must not recurse per part.
+    assert run_cli("oracle", "--seq", "fibonacci", "-p", "2", "-k", "1500",
+                   "-n", "1") == (0, "1500\n")
+
+
 def test_json_round_trip():
     rng = random.Random(4242)
     selectors = ["fibonacci", "naturals", "lucas:5,-2", "lucas:3,-1"]
@@ -214,30 +220,16 @@ def test_export_acceptable_k4_modulus_50(tmp_path, make_chain_spec):
         assert rep.evaluate(*divmod(n, 50)) == want, n
 
 
-def test_bench_report():
-    code, out = run_cli("bench", "--seq", "fibonacci", "-p", "2",
-                        "--n-grid", "100,1000,10000", "--oracle-cutoff", "2000",
-                        "--repeats", "1")
-    assert code == 0
-    lines = out.splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("N=100 digits=7 tuples=101 ")
-    assert "digits=10" in lines[1] and "digits=14" in lines[2]
-    assert "oracle_s=skipped ratio=n/a" in lines[2]
-    code, out = run_cli("bench", "--seq", "fibonacci", "-p", "2",
-                        "--n-grid", "64", "--format", "json", "--repeats", "1")
-    data = json.loads(out)
-    assert data["rows"][0]["tuples"] == "65"
-    assert float(data["rows"][0]["oracle_s"]) >= 0.0
-
-
 def test_usage_errors():
     assert run_cli("eval", "--seq", "fibonacci", "-p", "4", "-n", "3")[0] == 1
     assert run_cli("eval", "--seq", "nonsense", "-p", "2", "-n", "3")[0] == 1
     assert run_cli("eval", "--seq", "fibonacci", "-p", "2", "-n", "-3")[0] == 1
+    assert run_cli("oracle", "--seq", "fibonacci", "-p", "2", "-n", "3",
+                   "--bigint-samples", "-3")[0] == 1
     assert run_cli("eval", "--seq", "fibonacci", "-p", "2", "-k", "1", "-n", "3")[0] == 1
     assert run_cli("eval", "--seq", "file:/no/such/file", "-p", "2", "-n", "3")[0] == 1
     assert run_cli("nonsense")[0] == 1
+    assert run_cli("bench", "--seq", "fibonacci", "-p", "2")[0] == 1
     assert run_cli("classify", "--seq", "fibonacci", "-p", "2",
                    "--profile-cache", "profiles.json")[0] == 1
     assert run_cli("--help")[0] == 0
@@ -332,8 +324,7 @@ def test_composite_p_rejected_everywhere(capsys):
                  ["classify", "--seq", "fibonacci"],
                  ["vectors", "--seq", "fibonacci"],
                  ["matrices"],
-                 ["export", "--seq", "fibonacci"],
-                 ["bench", "--seq", "fibonacci", "--n-grid", "5"]):
+                 ["export", "--seq", "fibonacci"]):
         assert run_cli(*argv, "-p", p) == (1, ""), argv[0]
         assert f"p must be prime, got {p}" in capsys.readouterr().err
 
@@ -347,12 +338,6 @@ def test_oracle_work_is_refused_up_front(tmp_path, make_chain_spec, capsys, monk
     # each within its bound.
     assert run_cli("verify", "--seq", f"file:{path}", "-p", "2", "-k", "3",
                    "--n-max", "50") == (0, f"verified file:{path} p=2 k=3 for all n <= 50\n")
-    code, out = run_cli("bench", "--seq", "fibonacci", "-p", "2", "-k", "3",
-                        "--n-grid", "20,5000", "--repeats", "1")
-    assert code == 0
-    lines = out.splitlines()
-    assert "oracle_s=skipped" not in lines[0]
-    assert lines[1].startswith("N=5000 ") and "oracle_s=skipped ratio=n/a" in lines[1]
 
     def no_work(*args):
         raise AssertionError("oracle work started")

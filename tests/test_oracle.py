@@ -20,6 +20,7 @@ from cnomial.polyarith import ValPoly, row_vec_mul
 from cnomial.seqcore import FileBackedSpec, LucasSpec, term, terms_prefix
 
 from conftest import valid_lucas
+import reference
 from reference import (
     cmultinomial_valuation,
     component_vector,
@@ -106,6 +107,9 @@ def test_compositions_colex_order():
         assert len(tuples) == comb(n + k - 1, k - 1)
         assert len(set(tuples)) == len(tuples)
         assert all(sum(t) == n for t in tuples)
+    for n in range(8):
+        for k in range(1, 6):
+            assert list(compositions(n, k)) == list(reference.compositions(n, k)), (n, k)
 
 
 def test_brute_generating_poly_examples(lucas52, fib):
@@ -120,6 +124,43 @@ def test_brute_generating_poly_bigint_mode(fib, lucas52):
         checked = brute_generating_poly(spec, p, 2, 24, bigint_samples=10,
                                         rng=random.Random(5))
         assert plain == checked
+
+
+def test_bigint_samples_come_from_the_one_enumeration(fib, monkeypatch):
+    # One pass enumerates and cross-checks; the tuples checked are those
+    # drawn from the full list of compositions, met in enumeration order.
+    calls, checked = [], []
+    real_compositions, real_bigint = oracle.compositions, oracle.cmultinomial_bigint
+
+    def counted(*args):
+        calls.append(args)
+        return real_compositions(*args)
+
+    def recorded(spec, n, mtuple):
+        checked.append(mtuple)
+        return real_bigint(spec, n, mtuple)
+
+    monkeypatch.setattr(oracle, "compositions", counted)
+    monkeypatch.setattr(oracle, "cmultinomial_bigint", recorded)
+    for k, n, samples, seed in [(2, 24, 10, 5), (3, 15, 7, 1), (4, 9, 500, 2), (2, 0, 3, 3)]:
+        calls.clear()
+        checked.clear()
+        brute_generating_poly(fib, 2, k, n, bigint_samples=samples, rng=random.Random(seed))
+        assert calls == [(n, k)]
+        pool = list(reference.compositions(n, k))
+        drawn = random.Random(seed).sample(pool, min(samples, len(pool)))
+        assert checked == sorted(drawn, key=pool.index)
+
+
+def test_bigint_samples_catch_a_corrupt_term():
+    # Fibonacci with C_7 doubled: the chain at p = 2 reads only multiples of
+    # 3, so the corial table misses the extra factor that the big-integer
+    # products see, e.g. (8; 2, 6) = C_8 * C_7 / (C_2 * C_1) = 546.
+    terms = terms_prefix(LucasSpec(1, -1), 20)
+    terms[6] *= 2
+    spec = FileBackedSpec(tuple(terms), name="fib-c7-doubled")
+    with pytest.raises(StrongDivisibilityError, match="valuation mismatch"):
+        brute_generating_poly(spec, 2, 2, 8, bigint_samples=9)
 
 
 def test_brute_generating_poly_tuple_symmetry(fib):
