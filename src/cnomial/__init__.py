@@ -30,7 +30,6 @@ from .seqcore import (
     FileBackedSpec,
     InsufficientTermsError,
     LucasSpec,
-    NaturalsSpec,
     SequenceSpec,
     parse_selector,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "InsufficientTermsError",
     "LinearRepresentation",
     "LucasSpec",
-    "NaturalsSpec",
     "NormalizationError",
     "PolyMatrix",
     "PolyVector",

@@ -225,11 +225,12 @@ def _lucas_rank_of_prime(spec: seqcore.LucasSpec, p: int) -> int | None:
     gcd(P, Q) = 1, so there is no apparition.  Otherwise p divides U_n for
     n = 6 when p = 2 (U_n mod 2 has period 2 or 3), and with
     D = P^2 - 4Q for n = p - (D/p), or n = p when p | D (Lucas 1878).
-    alpha(p) is the smallest divisor of n whose term p divides, and strong
-    divisibility makes those divisors exactly the multiples of alpha(p),
-    so it is found by dividing n by each prime factor q for as long as p
-    still divides U_(n/q): after trial division of n, one O(log n) jump per
-    prime factor of n, counted with multiplicity.
+    alpha(p) is the smallest divisor of n whose term p divides: p itself
+    when n = p, as U_1 = 1 (so the naturals, D = 0, need no factoring).
+    Else strong divisibility makes those divisors exactly the multiples of
+    alpha(p), so it is found by dividing n by each prime factor q for as
+    long as p still divides U_(n/q): after trial division of n, one
+    O(log n) jump per prime factor of n, counted with multiplicity.
     """
     if spec.Q % p == 0:
         return None
@@ -237,6 +238,8 @@ def _lucas_rank_of_prime(spec: seqcore.LucasSpec, p: int) -> int | None:
     n = 6 if p == 2 else p if legendre == 0 else p - 1 if legendre == 1 else p + 1
     if seqcore._lucas_jump(spec, n, p)[0] != 0:
         raise StrongDivisibilityError(f"{p} does not divide U_{n} of {spec.selector}")
+    if n == p:
+        return p
     a = n
     for q in _prime_factors(n):
         while a % q == 0 and seqcore._lucas_jump(spec, a // q, p)[0] == 0:
@@ -278,11 +281,11 @@ def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
 
     Yields nothing when p divides no term.  Stored terms yield the levels
     ``_stored_levels`` reads off them, all checked before the first is
-    yielded, then raise UndeterminedError.  Level 1 is p itself for the
-    naturals and the divisor check above for Lucas sequences.  At level
-    k >= 2 with a = alpha(p^(k-1)), strong divisibility makes alpha(p^k) a
-    multiple of a, and the law of repetition (p^(k-1) | C_a implies
-    p^k | C_(p*a)) pins it to a or p*a, so two probes decide the level.
+    yielded, then raise UndeterminedError.  Level 1 of a Lucas sequence is
+    ``_lucas_rank_of_prime``.  At level k >= 2 with a = alpha(p^(k-1)),
+    strong divisibility makes alpha(p^k) a multiple of a, and the law of
+    repetition (p^(k-1) | C_a implies p^k | C_(p*a)) pins it to a or p*a,
+    so two probes decide the level.
     """
     if isinstance(spec, seqcore.FileBackedSpec):
         levels = _stored_levels(spec, p)
@@ -291,7 +294,7 @@ def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
         raise UndeterminedError("undetermined within available terms: " + (
             f"no multiple of {levels[-1]} with {p ** (len(levels) + 1)} | C_n among {stored}"
             if levels else f"{p} divides none of the {stored}"))
-    a = p if isinstance(spec, seqcore.NaturalsSpec) else _lucas_rank_of_prime(spec, p)
+    a = _lucas_rank_of_prime(spec, p)
     if a is None:
         return
     yield a
@@ -318,17 +321,17 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None) -> PrimePro
     equals p.  With the default kmax the chain is extended until
     DEFAULT_TAIL consecutive ratios equal to p confirm s (hard-capped at
     DEFAULT_KMAX_CAP); an explicit kmax fixes the number of ratios computed
-    instead.  Either limit is passed, for Lucas sequences and the naturals
-    only, while the last computed ratio still differs from p: those have no
-    unacceptable primes, and a short chain is missing evidence, not showing
-    a failure.
+    instead.  Either limit is passed, for Lucas sequences only, while the
+    last computed ratio still differs from p: those have no unacceptable
+    primes, and a short chain is missing evidence, not showing a failure.
 
-    Nothing is found by scanning.  Finding alpha(p) takes O(sqrt(p)) trial
-    divisions and a few jumps for Lucas sequences, and nothing for the
-    naturals (alpha(p) = p); each further level then probes two indices,
-    so the cost does not grow with alpha(p^k).  Stored terms cost one pass
-    per level over the stored multiples of the previous rank, which also
-    checks every level the file holds against the terms.
+    Nothing is found by scanning.  Finding alpha(p) for a Lucas sequence
+    takes one jump when p | D = P^2 - 4Q (the naturals at odd p), and
+    otherwise O(sqrt(p)) trial divisions and a few jumps; each further
+    level then probes two indices, so the cost does not grow with
+    alpha(p^k).  Stored terms cost one pass per level over the stored
+    multiples of the previous rank, which also checks every level the file
+    holds against the terms.
 
     A file-backed sequence that runs out of terms mid-chain keeps whatever
     evidence was gathered; if not even one stabilized ratio was confirmed
@@ -348,10 +351,9 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None) -> PrimePro
     s_cand = 1
     exhausted = False
     cap = kmax if kmax is not None else DEFAULT_KMAX_CAP
-    # Every level of a Lucas sequence or the naturals is computable, and by
-    # the law of repetition their ratios reach p, so a chain still ending in
-    # a deviation at the cap is extended instead of being called
-    # unacceptable.
+    # Every level of a Lucas sequence is computable, and by the law of
+    # repetition its ratios reach p, so a chain still ending in a deviation
+    # at the cap is extended instead of being called unacceptable.
     computable = not isinstance(spec, seqcore.FileBackedSpec)
     while len(chain) < cap or (computable and len(ratios) == s_cand):
         if kmax is None and len(ratios) - s_cand >= DEFAULT_TAIL:

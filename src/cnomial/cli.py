@@ -28,7 +28,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(parser, *, seq=True, k=True):
+def _add_common(parser, *, seq=True, k=True, fmt=True):
     if seq:
         parser.add_argument("--seq", required=True,
                             help="sequence selector: fibonacci, naturals, lucas:P,Q, file:PATH")
@@ -36,7 +36,8 @@ def _add_common(parser, *, seq=True, k=True):
     if k:
         parser.add_argument("-k", type=int, default=2,
                             help="number of multinomial parts (default 2)")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    if fmt:
+        parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +60,7 @@ def build_parser() -> _Parser:
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="compare matrix product against brute force")
-    _add_common(p_verify)
+    _add_common(p_verify, fmt=False)
     p_verify.add_argument("--n-max", type=int, required=True)
     p_verify.add_argument("--kmax", type=int, default=None,
                           help="cap on classification chain depth")
@@ -84,7 +85,7 @@ def build_parser() -> _Parser:
     p_matrices.set_defaults(func=_cmd_matrices)
 
     p_export = sub.add_parser("export", help="export the linear representation as JSON")
-    _add_common(p_export)
+    _add_common(p_export, fmt=False)
     p_export.add_argument("--out", default=None, help="output path (default stdout)")
     p_export.set_defaults(func=_cmd_export)
 

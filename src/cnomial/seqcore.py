@@ -1,5 +1,5 @@
-"""Strong divisibility sequences: Lucas-type recurrences, the naturals, and
-file-backed term lists.
+"""Strong divisibility sequences: Lucas-type recurrences and file-backed
+term lists.  The naturals C_n = n are the Lucas sequence U(2, 1).
 
 A strong divisibility sequence of nonzero integers satisfies
 gcd(|C_n|, |C_m|) = |C_gcd(n, m)| for all positive indices.  Terms may be
@@ -51,16 +51,6 @@ class LucasSpec(Record):
         return f"lucas:{self.P},{self.Q}"
 
 
-class NaturalsSpec(Record):
-    """The sequence C_n = n."""
-
-    __slots__ = ()
-
-    @property
-    def selector(self) -> str:
-        return "naturals"
-
-
 class FileBackedSpec(Record):
     """Finite list of stored terms; terms[i] holds C_{i+1}."""
 
@@ -82,7 +72,7 @@ class FileBackedSpec(Record):
         return f"file:{self.name}"
 
 
-SequenceSpec = LucasSpec | NaturalsSpec | FileBackedSpec
+SequenceSpec = LucasSpec | FileBackedSpec
 
 
 def _lucas_jump(spec: LucasSpec, n: int, m: int | None) -> tuple[int, int]:
@@ -120,8 +110,6 @@ def term(spec: SequenceSpec, n: int) -> int:
     """The exact n-th term (1-indexed, may be negative)."""
     if n < 1:
         raise ValueError(f"term index must be positive, got {n}")
-    if isinstance(spec, NaturalsSpec):
-        return n
     if isinstance(spec, FileBackedSpec):
         if n > len(spec.terms):
             raise InsufficientTermsError(
@@ -135,15 +123,13 @@ def term_mod(spec: SequenceSpec, n: int, m: int) -> int:
     """term(spec, n) reduced mod m, as the nonnegative representative.
 
     Lucas sequences take O(log n) multiplications of residues mod m (a
-    2x2 matrix power that divides by nothing, so even m is fine); the
-    naturals and stored terms are indexed directly.
+    2x2 matrix power that divides by nothing, so even m is fine); stored
+    terms are indexed directly.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"term index must be positive, got {n}")
-    if isinstance(spec, NaturalsSpec):
-        return n % m
     if isinstance(spec, FileBackedSpec):
         return term(spec, n) % m
     return _lucas_jump(spec, n, m)[0]
@@ -158,11 +144,6 @@ def residues(spec: SequenceSpec, m: int) -> Iterator[int]:
         for t in spec.terms:
             yield t % m
         return
-    if isinstance(spec, NaturalsSpec):
-        n = 1
-        while True:
-            yield n % m
-            n += 1
     yield from _lucas_stream(spec, m)
 
 
@@ -174,8 +155,6 @@ def terms_prefix(spec: SequenceSpec, count: int) -> list[int]:
                 f"insufficient terms: need C_{count}, {spec.name} stores {len(spec.terms)}"
             )
         return list(spec.terms[:count])
-    if isinstance(spec, NaturalsSpec):
-        return list(range(1, count + 1))
     return list(islice(_lucas_stream(spec, None), count))
 
 
@@ -210,7 +189,7 @@ def parse_selector(text: str) -> SequenceSpec:
     if text == "fibonacci":
         return LucasSpec(1, -1)
     if text == "naturals":
-        return NaturalsSpec()
+        return LucasSpec(2, 1)
     if text.startswith("lucas:"):
         body = text[len("lucas:"):]
         parts = body.split(",")

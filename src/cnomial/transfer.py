@@ -60,7 +60,6 @@ def digit_counts(b: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def multinomial_matrix(p: int, k: int, d: int) -> PolyMatrix:
     """The k x k digit matrix with entry (row, col) = x^row * N(d - row + col*p).
 

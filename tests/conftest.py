@@ -49,7 +49,7 @@ def lucas31():
 
 @pytest.fixture(scope="session")
 def naturals():
-    return seqcore.NaturalsSpec()
+    return seqcore.LucasSpec(2, 1)
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from cnomial.apparition import PrimeClass, classify
 from cnomial.engine import base_digits, eval_generating_poly
 from cnomial.oracle import brute_generating_poly, corial_valuation_table
 from cnomial.polyarith import ValPoly, mat_vec_mul
-from cnomial.seqcore import LucasSpec, NaturalsSpec, load_terms_file
+from cnomial.seqcore import LucasSpec, load_terms_file
 from cnomial.transfer import multinomial_matrix
 
 from conftest import EDS14_PATH, EDS150_PATH, poly_from_json
@@ -25,7 +25,7 @@ from reference import component_vector, digit_sum
 FIB = LucasSpec(1, -1)
 LUCAS52 = LucasSpec(5, -2)
 LUCAS31 = LucasSpec(3, -1)
-NATURALS = NaturalsSpec()
+NATURALS = LucasSpec(2, 1)
 
 
 @contextmanager

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cnomial import oracle, seqcore
+from cnomial import apparition, oracle, seqcore
 from cnomial.apparition import (
     _lucas_rank_of_prime,
     _prime_factors,
@@ -17,7 +17,7 @@ from cnomial.apparition import (
     is_prime,
     valuation,
 )
-from cnomial.seqcore import FileBackedSpec, LucasSpec, NaturalsSpec
+from cnomial.seqcore import FileBackedSpec, LucasSpec
 
 from conftest import valid_lucas
 from reference import rank_of_apparition
@@ -302,7 +302,7 @@ def test_profile_json_round_trip(fib, profile_of):
 def test_alpha_chain_bounded(fib, eds150):
     assert oracle.alpha_chain(fib, 2, 50) == [3, 6, 6, 12, 24, 48]
     assert oracle.alpha_chain(eds150, 2, 120) == [5, 10, 20, 40, 80]
-    assert oracle.alpha_chain(NaturalsSpec(), 3, 100) == [3, 9, 27, 81]
+    assert oracle.alpha_chain(LucasSpec(2, 1), 3, 100) == [3, 9, 27, 81]
 
 
 # The chain walker behind classify decides each level past the first from a
@@ -399,6 +399,30 @@ def test_lucas_rank_when_p_divides_discriminant():
     assert _lucas_rank_of_prime(LucasSpec(1, -1), 5) == 5   # Fibonacci, D = 5
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES_TO_2000), st.integers(-50, 50), st.integers(-3, 3))
+def test_lucas_rank_when_p_divides_discriminant_matches_scan(p, P, t):
+    # Q = P^2/4 mod p puts p | D, and p must not divide Q; at p = 2 that
+    # needs P even and Q odd.
+    Q = (1 if p == 2 else P * P * pow(4, -1, p) % p) + p * t
+    assume((P * P - 4 * Q) % p == 0 and Q % p != 0 and valid_lucas((P, Q)))
+    spec = LucasSpec(P, Q)
+    assert _lucas_rank_of_prime(spec, p) == rank_of_apparition(spec, p), (P, Q, p)
+
+
+def refuse_factoring(n):
+    raise AssertionError(f"factored {n}")
+
+
+def test_classify_huge_prime_dividing_discriminant(monkeypatch):
+    # D = 1 + 4 * 250000000000000000000000000014 = p: alpha(p) = p without
+    # factoring n = p, which trial division could not finish.
+    p = 10**30 + 57
+    monkeypatch.setattr(apparition, "_prime_factors", refuse_factoring)
+    prof = classify(LucasSpec(1, -250000000000000000000000000014), p)
+    assert (prof.prime_class, prof.alpha_powers) == (PrimeClass.IDEAL, (p,))
+
+
 @pytest.mark.parametrize("params, p, alpha", [
     ((1, -1), 10007, 10008), ((1, -1), 1000000007, 1000000008),   # (5/p) = -1
     ((1, -1), 2, 3), ((1, 2), 2, None),
@@ -434,8 +458,8 @@ def test_classify_lucas_level_one_cost(monkeypatch, params, p, alpha):
 
 
 def test_classify_naturals_level_one_cost(naturals, monkeypatch):
-    # alpha(p) = p for the naturals: level 1 pulls no term at all, and each
-    # further level makes at most two jumps.
+    # alpha(p) = p for the naturals (p | D = 0): level 1 pulls no term and
+    # factors nothing, and each further level makes at most two jumps.
     pulled, jumps = [0], [0]
     residues, term_mod = seqcore.residues, seqcore.term_mod
 
@@ -450,6 +474,7 @@ def test_classify_naturals_level_one_cost(naturals, monkeypatch):
 
     monkeypatch.setattr(seqcore, "residues", counted_residues)
     monkeypatch.setattr(seqcore, "term_mod", counted_term_mod)
+    monkeypatch.setattr(apparition, "_prime_factors", refuse_factoring)
     p = 1000000007
     prof = classify(naturals, p)
     assert (prof.prime_class, prof.alpha_powers) == (PrimeClass.IDEAL, (p,))

@@ -232,6 +232,9 @@ def test_usage_errors():
     assert run_cli("bench", "--seq", "fibonacci", "-p", "2")[0] == 1
     assert run_cli("classify", "--seq", "fibonacci", "-p", "2",
                    "--profile-cache", "profiles.json")[0] == 1
+    assert run_cli("verify", "--seq", "fibonacci", "-p", "2", "--n-max", "10",
+                   "--format", "json")[0] == 1
+    assert run_cli("export", "--seq", "fibonacci", "-p", "2", "--format", "text")[0] == 1
     assert run_cli("--help")[0] == 0
 
 

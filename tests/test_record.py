@@ -1,4 +1,4 @@
-"""Value semantics of the eight immutable records: equality, hashing, text
+"""Value semantics of the seven immutable records: equality, hashing, text
 form, immutability and validation."""
 
 import copy
@@ -9,7 +9,7 @@ import pytest
 from cnomial.apparition import PrimeClass, PrimeProfile
 from cnomial.engine import EvalPath, LinearRepresentation, QueryResult
 from cnomial.polyarith import PolyMatrix, PolyVector, ValPoly
-from cnomial.seqcore import FileBackedSpec, LucasSpec, NaturalsSpec
+from cnomial.seqcore import FileBackedSpec, LucasSpec
 
 A = ValPoly({0: 1, 2: 3})
 
@@ -19,7 +19,6 @@ def make_all():
     column = PolyVector.column(ValPoly({0: 1, 2: 3}), ValPoly())
     return [
         LucasSpec(1, -1),
-        NaturalsSpec(),
         FileBackedSpec((1, -1, 2)),
         PrimeProfile(p=2, prime_class=PrimeClass.ACCEPTABLE, alpha_powers=(3, 6, 6), s=3,
                      ratios=(3, 2, 1, 2), evidence_kmax=4),
@@ -33,7 +32,6 @@ def make_all():
 
 FIELDS = [
     ("P", "Q"),
-    (),
     ("terms", "name"),
     ("p", "prime_class", "alpha_powers", "s", "ratios", "evidence_kmax"),
     ("polynomial", "path", "decomposition"),
@@ -44,7 +42,6 @@ FIELDS = [
 
 REPRS = [
     "LucasSpec(P=1, Q=-1)",
-    "NaturalsSpec()",
     "FileBackedSpec(terms=(1, -1, 2), name='file')",
     "PrimeProfile(p=2, prime_class=<PrimeClass.ACCEPTABLE: 'Acceptable'>, "
     "alpha_powers=(3, 6, 6), s=3, ratios=(3, 2, 1, 2), evidence_kmax=4)",
@@ -78,8 +75,7 @@ def test_equality_needs_the_same_class_and_fields():
     assert LucasSpec(1, -1) != (1, -1)
     assert LucasSpec(1, -1) != LucasSpec(5, -2)
     assert FileBackedSpec((1, 2)) != FileBackedSpec((1, 2), name="other")
-    assert NaturalsSpec() != LucasSpec(1, -1)
-    assert len({LucasSpec(1, -1), LucasSpec(1, -1), NaturalsSpec()}) == 2
+    assert len({LucasSpec(1, -1), LucasSpec(1, -1), LucasSpec(2, 1)}) == 2
 
 
 def test_repr_text():

@@ -7,7 +7,6 @@ from cnomial.seqcore import (
     FileBackedSpec,
     InsufficientTermsError,
     LucasSpec,
-    NaturalsSpec,
     load_terms_file,
     parse_selector,
     term,
@@ -37,6 +36,7 @@ def test_term_mod_examples(lucas52, fib, naturals):
     assert term_mod(lucas52, 8, 7) == 0
     assert term_mod(fib, 3, 2) == 0
     assert term_mod(naturals, 12, 5) == 2
+    assert [term_mod(naturals, n, 7) for n in range(1, 301)] == [n % 7 for n in range(1, 301)]
     with pytest.raises(ValueError):
         term_mod(fib, 5, 1)
 
@@ -67,7 +67,8 @@ def test_lucas_validation():
         LucasSpec(1, 1)  # U_3 = 0
     with pytest.raises(ValueError):
         LucasSpec(0, -1)  # U_2 = 0
-    LucasSpec(2, 1)  # degenerate-looking but zero-free: U_n = n
+    # Degenerate-looking but zero-free: U(2, 1) is the naturals, U_n = n.
+    assert terms_prefix(LucasSpec(2, 1), 300) == list(range(1, 301))
 
 
 def test_file_backed_validation():
@@ -119,7 +120,7 @@ def test_load_terms_file_errors(tmp_path):
 
 def test_parse_selector():
     assert parse_selector("fibonacci") == LucasSpec(1, -1)
-    assert parse_selector("naturals") == NaturalsSpec()
+    assert parse_selector("naturals") == LucasSpec(2, 1)
     assert parse_selector("lucas:5,-2") == LucasSpec(5, -2)
     spec = parse_selector(f"file:{EDS14_PATH}")
     assert len(spec.terms) == 14
@@ -143,9 +144,11 @@ def test_eds_files_match_recurrence_and_publication(eds14, eds150):
     assert validate_strong_divisibility(eds150, 60) == []
 
 
-def test_residues_stream(fib, eds14):
+def test_residues_stream(fib, naturals, eds14):
     from itertools import islice
 
     stream = list(islice(seqcore.residues(fib, 5), 10))
     assert stream == [term(fib, n) % 5 for n in range(1, 11)]
+    stream = list(islice(seqcore.residues(naturals, 7), 300))
+    assert stream == [n % 7 for n in range(1, 301)]
     assert len(list(seqcore.residues(eds14, 3))) == 14
