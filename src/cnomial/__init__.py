@@ -31,6 +31,7 @@ from .seqcore import (
     InsufficientTermsError,
     LucasSpec,
     SequenceSpec,
+    WorkLimitError,
     parse_selector,
 )
 
@@ -38,7 +39,7 @@ __version__ = "0.1.0"
 
 # The oracle is imported on first use (PEP 562): a matrix-path answer never
 # needs it, and every process that starts the CLI would pay for it.
-_ORACLE_NAMES = ("WorkLimitError", "brute_generating_poly", "generating_polys")
+_ORACLE_NAMES = ("brute_generating_poly", "generating_polys")
 
 
 def __getattr__(name):

@@ -6,9 +6,10 @@ alpha(p^2)/alpha(p), ... up to a last known level alpha_m, then p forever
 when the prime class says so.  With N = alpha_m*q + r it is the row u(r)
 of the chain (``initvec.row``) times a column for q: at an ideal or
 acceptable prime M(q_0) * ... * M(q_last) * e^T over the base-p digits of
-q, k^2 integer products per digit; otherwise one top digit q with no carry
-out, whose entry c is x^c * C(q-c+k-1, k-1).  With no apparition there is
-no level and the answer is C(N+k-1, k-1).  At an unacceptable prime of a
+q, per digit one product per distinct entry c >= 2 of a column, one sum
+per further nonzero entry of a row and k - 1 shifts (``_step``); otherwise
+one top digit q with no carry out, whose entry c is x^c * C(q-c+k-1, k-1).
+With no apparition there is no level and the answer is C(N+k-1, k-1).  At an unacceptable prime of a
 sequence file every level the stored terms hold is used; they fix the
 answer while N < alpha_m*(floor(T/alpha_m) + 1) for T stored terms, and
 past that InsufficientTermsError is raised.
@@ -22,15 +23,19 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
-from math import comb
+from math import comb, prod
 
 from . import initvec
 from .apparition import PrimeClass, PrimeProfile, _stored_levels
 from .polyarith import (PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul,
                         slot_width, unpack)
 from .record import Record, _set
-from .seqcore import InsufficientTermsError, SequenceSpec
+from .seqcore import InsufficientTermsError, SequenceSpec, WorkLimitError
 from .transfer import digit_counts, digit_matrices
+
+
+MAX_ENTRIES = 2 * 10 ** 5
+"""Most polynomial entries a linear representation or a listing may hold."""
 
 
 class NormalizationError(ArithmeticError):
@@ -101,9 +106,20 @@ def _width(k: int, top: int) -> int:
 
 
 def _step(rows: tuple[tuple[int, ...], ...], column: list[int], shifts: list[int]) -> list[int]:
-    """M(d) * column, where rows are ``digit_counts(p, k, d)``."""
-    return [sum(c * v for c, v in zip(row, column) if c) << shift
-            for row, shift in zip(rows, shifts)]
+    """M(d) * column, where rows are ``digit_counts(p, k, d)``: each c * column[mu]
+    with c >= 2 is formed once, and no pass multiplies by 1, adds 0 or shifts by 0."""
+    products: dict[tuple[int, int], int] = {}
+    out = []
+    for row, shift in zip(rows, shifts):
+        total = 0
+        for mu, c in enumerate(row):
+            if c:
+                term = column[mu] if c == 1 else products.get((c, mu))
+                if term is None:
+                    term = products[c, mu] = c * column[mu]
+                total = total + term if total else term
+        out.append(total << shift if shift else total)
+    return out
 
 
 def _column(p: int, k: int, digits: list[int], width: int) -> list[int]:
@@ -126,7 +142,11 @@ def _terms(u: list[ValPoly], width: int) -> list[tuple[int, int, int]]:
 
 
 def _contract(terms: list[tuple[int, int, int]], column: list[int], width: int) -> ValPoly:
-    return unpack(sum(c * column[lam] << shift for lam, shift, c in terms), width)
+    total = 0
+    for lam, shift, c in terms:
+        term = (column[lam] if c == 1 else c * column[lam]) << shift
+        total = total + term if total else term
+    return unpack(total, width)
 
 
 def _chain(spec: SequenceSpec, profile: PrimeProfile):
@@ -149,7 +169,10 @@ def _require_fixed(spec: SequenceSpec, p: int, bound: int | None, n: int) -> Non
             f"the answer at p={p} only for N < {bound}, not N = {n}")
 
 
-def _checked(result: QueryResult, k: int, n: int) -> QueryResult:
+def _checked(result: QueryResult, levels, k: int, n: int) -> QueryResult:
+    """Check the coefficient sum, then the constant term: the compositions with
+    no carry, C(t+k-1, k-1) for each mixed-radix digit t of n (r's in the
+    chain's radices, then q's base-p digits, or q as one top digit)."""
     expected = comb(n + k - 1, k - 1)
     total = result.polynomial.eval_at_one()
     if total != expected:
@@ -157,6 +180,13 @@ def _checked(result: QueryResult, k: int, n: int) -> QueryResult:
             f"normalization broken: coefficients sum to {total}, "
             f"expected C({n}+{k}-1, {k}-1) = {expected}"
         )
+    _, quot, r, digits = result.decomposition
+    lower = [r // a % (b // a) for a, b in zip((1, *levels), levels)]
+    expected = prod(comb(t + k - 1, k - 1) for t in lower + list(digits or (quot,)))
+    if result.polynomial.coefficient(0) != expected:
+        raise NormalizationError(f"normalization broken: the constant term is "
+                                 f"{result.polynomial.coefficient(0)}, expected "
+                                 f"{expected} carry-free compositions")
     return result
 
 
@@ -176,7 +206,7 @@ def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int,
     column = _column(tail, k, digits, width) if tail else _top_column(k, quot, width)
     poly = _contract(_terms(initvec.row(levels, k, r), width), column, width)
     return _checked(QueryResult(poly, _PATHS[profile.prime_class],
-                                (modulus, quot, r, tuple(digits))), k, n)
+                                (modulus, quot, r, tuple(digits))), levels, k, n)
 
 
 def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
@@ -212,7 +242,7 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
                 terms[r] = _terms(initvec.row(levels, k, r), width)
             poly = _contract(terms[r], column, width)
             yield _checked(QueryResult(poly, path, (modulus, q, r, digits)),
-                           k, q * modulus + r)
+                           levels, k, q * modulus + r)
 
 
 class LinearRepresentation(Record):
@@ -262,6 +292,12 @@ class LinearRepresentation(Record):
         }
 
 
+def check_entries(entries: int, what: str) -> None:
+    """Refuse, before any is built, more than MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise WorkLimitError(f"{what} refused: {entries} entries exceed the limit of {MAX_ENTRIES}")
+
+
 def linear_representation(profile: PrimeProfile, k: int,
                           *, force_path: str | None = None) -> LinearRepresentation:
     """Export the residue vectors and digit matrices witnessing that the
@@ -274,6 +310,7 @@ def linear_representation(profile: PrimeProfile, k: int,
             f"p={profile.p} is {profile.prime_class.value}; no linear representation exists"
         )
     modulus = profile.stable_modulus
+    check_entries(modulus * k + profile.p * k * k, "linear representation")
     vectors = {r: initvec.vector_for(profile, k, r) for r in range(modulus)}
     matrices = {d: m for d, m in enumerate(digit_matrices(profile.p, k))}
     return LinearRepresentation(

@@ -31,16 +31,12 @@ from operator import lshift, mul
 from . import apparition, seqcore
 from .apparition import StrongDivisibilityError
 from .polyarith import ValPoly, slot_width, unpack
-from .seqcore import SequenceSpec
+from .seqcore import SequenceSpec, WorkLimitError
 
 MAX_TUPLES = 10 ** 7
 """Most compositions ``brute_generating_poly`` enumerates for one n."""
 MAX_SWEEP_STEPS = 10 ** 8
 """Largest k * n_max^2 that ``generating_polys`` accepts."""
-
-
-class WorkLimitError(ValueError):
-    """An oracle request exceeds its up-front work bound and was refused."""
 
 
 def compositions(total: int, k: int):

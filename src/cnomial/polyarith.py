@@ -194,8 +194,11 @@ def unpack(packed: int, width: int) -> ValPoly:
     multiple of 8."""
     size = width // 8
     raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
-    return ValPoly({i: int.from_bytes(raw[j:j + size], "little")
-                    for i, j in enumerate(range(0, len(raw), size))})
+    # Slots are unsigned, so dropping zeros makes the polynomial canonical.
+    poly = ValPoly.__new__(ValPoly)
+    poly._coeffs = {i: c for i, j in enumerate(range(0, len(raw), size))
+                    if (c := int.from_bytes(raw[j:j + size], "little"))}
+    return poly
 
 
 def mat_vec_mul(m: PolyMatrix, v: PolyVector) -> PolyVector:

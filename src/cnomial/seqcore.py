@@ -21,6 +21,10 @@ class InsufficientTermsError(Exception):
     """A file-backed sequence does not store enough terms for the request."""
 
 
+class WorkLimitError(ValueError):
+    """A request exceeds its up-front work bound and was refused."""
+
+
 class LucasSpec(Record):
     """Second-order recurrence U_1 = 1, U_2 = P, U_n = P*U_{n-1} - Q*U_{n-2}.
 

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cnomial import cli, engine, oracle
+import pytest
+
+from cnomial import cli, engine, oracle, transfer
 from cnomial.apparition import classify
 from cnomial.polyarith import PolyMatrix, PolyVector
-from cnomial.seqcore import parse_selector, terms_prefix
+from cnomial.seqcore import WorkLimitError, parse_selector, terms_prefix
 
 from conftest import EDS14_PATH, EDS150_PATH, poly_from_json
 
@@ -297,6 +299,24 @@ def test_normalization_failure_exit_code(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_huge_listings_refused_before_any_work(monkeypatch, capsys):
+    # At p = 10^9+7 Fibonacci's modulus is p + 1: the representation would
+    # hold about 6*10^9 entries, so no builder may run.
+    def unreachable(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(engine.initvec, "vector_for", unreachable)
+    monkeypatch.setattr(engine, "digit_matrices", unreachable)
+    monkeypatch.setattr(transfer, "multinomial_matrix", unreachable)
+    p = 1000000007
+    with pytest.raises(WorkLimitError, match="refused"):
+        engine.linear_representation(classify(parse_selector("fibonacci"), p), 2)
+    for argv in (["export", "--seq", "fibonacci"], ["vectors", "--seq", "fibonacci"],
+                 ["matrices"]):
+        assert run_cli(*argv, "-p", str(p)) == (1, "")
+        assert "refused" in capsys.readouterr().err
+
+
 def test_classify_large_prime():
     code, out = run_cli("classify", "--seq", "fibonacci", "-p", "1000000007")
     assert code == 0
@@ -432,16 +452,16 @@ def test_unacceptable_eval_in_a_fresh_process(tmp_path, make_chain_spec):
 
 def test_verify_checks_the_stored_chain(tmp_path, make_chain_spec, monkeypatch):
     # At an unacceptable prime verify compares the stored-chain answers with
-    # the oracle's: a kernel that multiplies every answer by x keeps the
-    # coefficient sums and is caught at n = 0.
+    # the oracle's: a kernel that multiplies the column entries past the
+    # first by x keeps the coefficient sums and the carry-free counts.
     spec = make_chain_spec((1,) * 14 + (3, 3), 60)
     path = tmp_path / "unacceptable.txt"
     path.write_text("".join(f"{t}\n" for t in spec.terms))
     real = engine._top_column
 
     def times_x(k, q, width):
-        return [v << width for v in real(k, q, width)]
+        return [v << width if c else v for c, v in enumerate(real(k, q, width))]
 
     monkeypatch.setattr(engine, "_top_column", times_x)
     assert run_cli("verify", "--seq", f"file:{path}", "-p", "2", "-k", "3", "--n-max", "50") \
-        == (2, "divergence at n=0: matrix 1*x vs oracle 1\n")
+        == (2, "divergence at n=3: matrix 3 + 7*x^3 vs oracle 3 + 7*x^2\n")

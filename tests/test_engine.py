@@ -120,6 +120,69 @@ def test_zero_valuation_count_is_digit_product(naturals, profile_of):
             assert poly.coefficient(0) == expected, (p, n)
 
 
+def carry_free(profile, k, n):
+    """C(t+k-1, k-1) multiplied over the digits t of n in the mixed radix
+    alpha(p), alpha(p^2)/alpha(p), ..., then p forever at an ideal or
+    acceptable prime, else one top digit."""
+    count, place = 1, 1
+    levels = profile.alpha_powers[:profile.s]
+    if profile.prime_class is PrimeClass.UNACCEPTABLE:
+        levels = profile.alpha_powers
+    for a in levels:
+        count *= comb(n // place % (a // place) + k - 1, k - 1)
+        place = a
+    top = n // place
+    tail = profile.prime_class in (PrimeClass.IDEAL, PrimeClass.ACCEPTABLE)
+    for t in base_digits(top, profile.p) if tail else [top]:
+        count *= comb(t + k - 1, k - 1)
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ideal", "acceptable", "trivial", "stored"]), st.integers(2, 6),
+       st.integers(0, 10 ** 60), st.integers(0, 60))
+def test_constant_term_counts_carry_free_compositions(make_chain_spec, path, k, n, n_max):
+    # Every path and the sweep: the compositions of n with valuation 0 are
+    # those with no carry in the mixed radix of the chain.
+    spec, p = {"ideal": (LucasSpec(5, -2), 7), "acceptable": (LucasSpec(1, -1), 2),
+               "trivial": (LucasSpec(1, 2), 2),
+               "stored": (make_chain_spec((1,) * 14 + (3, 3), 70), 2)}[path]
+    prof = classify(spec, p)
+    if path == "stored":
+        n %= 72                     # the stored terms fix N < 72
+    res = eval_generating_poly(spec, prof, k, n)
+    assert res.path.name == path.upper()
+    assert res.polynomial.coefficient(0) == carry_free(prof, k, n)
+    for m, res in enumerate(engine.eval_sweep(spec, prof, k, n_max)):
+        assert res.polynomial.coefficient(0) == carry_free(prof, k, m), m
+
+
+def test_carry_free_check_catches_a_lost_shift(fib, profile_of, monkeypatch):
+    # A digit step that leaves row 1 unshifted moves coefficients between
+    # exponents, so their sum holds; the constant term does not.
+    real = engine._step
+
+    def unshifted(rows, column, shifts):
+        return real(rows, column, [0 if row == 1 else s for row, s in enumerate(shifts)])
+
+    monkeypatch.setattr(engine, "_step", unshifted)
+    n = 10 ** 20 + 7
+    with pytest.raises(NormalizationError, match="normalization broken: the constant term"):
+        eval_generating_poly(fib, profile_of(fib, 2), 3, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(2, 6), st.sampled_from([8, 24, 64]),
+       st.lists(st.one_of(st.just(0), st.integers(0, 2 ** 300)), min_size=6, max_size=6))
+def test_step_matches_the_dense_product(p, k, width, column):
+    column = column[:k]
+    shifts = [row * width for row in range(k)]
+    for d in range(p):
+        rows = transfer.digit_counts(p, k, d)
+        assert engine._step(rows, column, shifts) == [
+            sum(c * v for c, v in zip(row, column)) << s for row, s in zip(rows, shifts)], d
+
+
 def test_no_apparition_trivial(profile_of):
     spec = LucasSpec(1, 2)
     prof = profile_of(spec, 2)

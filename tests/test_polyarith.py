@@ -10,6 +10,7 @@ from cnomial.polyarith import (
     ValPoly,
     mat_vec_mul,
     row_vec_mul,
+    unpack,
 )
 
 from conftest import poly_from_json
@@ -174,3 +175,15 @@ def test_distributivity(a, b, c):
 def test_eval_at_one_is_homomorphism(a, b):
     assert (a * b).eval_at_one() == a.eval_at_one() * b.eval_at_one()
     assert (a + b).eval_at_one() == a.eval_at_one() + b.eval_at_one()
+
+
+@given(st.sampled_from([8, 16, 64]), st.data())
+def test_unpack_matches_the_constructor(width, data):
+    # Zero slots anywhere, packed = 0 included: unpack gives the canonical
+    # polynomial, equal and hashing alike.
+    slots = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 2 ** width - 1))))
+    packed = sum(c << i * width for i, c in enumerate(slots))
+    got, want = unpack(packed, width), ValPoly(dict(enumerate(slots)))
+    assert got == want and hash(got) == hash(want)
+    assert got.items() == want.items() and got.degree == want.degree
+    assert unpack(0, width) == ValPoly.zero()
