@@ -281,7 +281,8 @@ def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
 
     Yields nothing when p divides no term.  Stored terms yield the levels
     ``_stored_levels`` reads off them, all checked before the first is
-    yielded, then raise UndeterminedError.  Level 1 of a Lucas sequence is
+    yielded, and end there; a file in which p divides no stored term
+    raises UndeterminedError instead.  Level 1 of a Lucas sequence is
     ``_lucas_rank_of_prime``.  At level k >= 2 with a = alpha(p^(k-1)),
     strong divisibility makes alpha(p^k) a multiple of a, and the law of
     repetition (p^(k-1) | C_a implies p^k | C_(p*a)) pins it to a or p*a,
@@ -289,11 +290,11 @@ def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
     """
     if isinstance(spec, seqcore.FileBackedSpec):
         levels = _stored_levels(spec, p)
+        if not levels:
+            raise UndeterminedError(f"undetermined within available terms: {p} divides "
+                                    f"none of the {len(spec.terms)} stored terms")
         yield from levels
-        stored = f"{len(spec.terms)} stored terms"
-        raise UndeterminedError("undetermined within available terms: " + (
-            f"no multiple of {levels[-1]} with {p ** (len(levels) + 1)} | C_n among {stored}"
-            if levels else f"{p} divides none of the {stored}"))
+        return
     a = _lucas_rank_of_prime(spec, p)
     if a is None:
         return
@@ -358,9 +359,8 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None) -> PrimePro
     while len(chain) < cap or (computable and len(ratios) == s_cand):
         if kmax is None and len(ratios) - s_cand >= DEFAULT_TAIL:
             break
-        try:
-            nxt = next(levels)
-        except UndeterminedError:
+        nxt = next(levels, None)
+        if nxt is None:
             exhausted = True
             break
         ratios.append(nxt // chain[-1])

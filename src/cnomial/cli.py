@@ -6,6 +6,12 @@ Exit codes: 0 success, 1 usage error, 2 verification divergence,
 
 All numeric output is printed as decimal strings; polynomial JSON maps
 exponent strings to coefficient strings, e.g. {"0":"10","2":"3"}.
+
+``run`` is one pipeline: parse, check, compute, render.  It checks the
+numbers every command shares; each ``_cmd_*`` computes and returns two
+renderers, ``(text, payload)``, and ``run`` calls one, printing the
+payload as compact JSON under ``--format json`` and the text otherwise.
+Failures, verify's divergence among them, are raised and mapped to exit codes.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ from .apparition import UndeterminedError
 
 class _UsageError(Exception):
     pass
+
+
+class _Divergence(Exception):
+    """verify found the matrix product and the oracle apart: exit 2, on stdout."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +54,8 @@ def _add_common(parser, *, seq=True, k=True, fmt=True):
 def build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing leaves it
     unchanged."""
-    parser = _Parser(prog="cnomial", description=__doc__)
+    # --help shows the module docstring without its last paragraph.
+    parser = _Parser(prog="cnomial", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate via the matrix product")
@@ -113,35 +124,28 @@ def _compact_json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _cmd_eval(args, out) -> int:
-    _check_numbers(args)
+def _listing(items) -> str:
+    return "[" + ", ".join(map(str, items)) + "]"
+
+
+def _cmd_eval(args):
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
-    result = engine.eval_generating_poly(spec, profile, args.k, args.n)
-    if args.format == "json":
-        print(_compact_json(result.polynomial.to_json_dict()), file=out)
-    else:
-        print(result.polynomial, file=out)
-    return 0
+    poly = engine.eval_generating_poly(spec, profile, args.k, args.n).polynomial
+    return lambda: str(poly), poly.to_json_dict
 
 
-def _cmd_oracle(args, out) -> int:
-    _check_numbers(args)
+def _cmd_oracle(args):
     if args.bigint_samples < 0:
         raise _UsageError(f"--bigint-samples must be >= 0, got {args.bigint_samples}")
     spec = _parse_spec(args)
     from . import oracle
     poly = oracle.brute_generating_poly(spec, args.p, args.k, args.n,
                                         bigint_samples=args.bigint_samples)
-    if args.format == "json":
-        print(_compact_json(poly.to_json_dict()), file=out)
-    else:
-        print(poly, file=out)
-    return 0
+    return lambda: str(poly), poly.to_json_dict
 
 
-def _cmd_verify(args, out) -> int:
-    _check_numbers(args)
+def _cmd_verify(args):
     if args.n_max < 0:
         raise _UsageError(f"--n-max must be >= 0, got {args.n_max}")
     spec = _parse_spec(args)
@@ -151,29 +155,21 @@ def _cmd_verify(args, out) -> int:
     gots = engine.eval_sweep(spec, profile, args.k, args.n_max)
     for n, (got, want) in enumerate(zip(gots, wants)):
         if got.polynomial != want:
-            print(f"divergence at n={n}: matrix {got.polynomial} vs oracle {want}", file=out)
-            return 2
-    print(f"verified {args.seq} p={args.p} k={args.k} for all n <= {args.n_max}", file=out)
-    return 0
+            raise _Divergence(f"divergence at n={n}: matrix {got.polynomial} vs oracle {want}")
+    return lambda: f"verified {args.seq} p={args.p} k={args.k} for all n <= {args.n_max}", None
 
 
-def _cmd_classify(args, out) -> int:
-    _check_numbers(args)
+def _cmd_classify(args):
     if args.kmax is not None and args.kmax < 2:
         raise _UsageError(f"--kmax must be >= 2, got {args.kmax}")
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p, kmax=args.kmax)
-    if args.format == "json":
-        print(_compact_json(profile.to_json_dict()), file=out)
-    else:
-        print(f"p={profile.p} class={profile.prime_class} s={profile.s} "
-              f"alpha_powers={list(profile.alpha_powers)} ratios={list(profile.ratios)} "
-              f"evidence_kmax={profile.evidence_kmax}", file=out)
-    return 0
+    return (lambda: f"p={profile.p} class={profile.prime_class} s={profile.s} "
+            f"alpha_powers={list(profile.alpha_powers)} ratios={list(profile.ratios)} "
+            f"evidence_kmax={profile.evidence_kmax}", profile.to_json_dict)
 
 
-def _cmd_vectors(args, out) -> int:
-    _check_numbers(args)
+def _cmd_vectors(args):
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
     initvec.check_vector_class(profile)
@@ -186,23 +182,17 @@ def _cmd_vectors(args, out) -> int:
         if not 0 <= r < modulus:
             raise _UsageError(f"residue {r} not in [0, {modulus})")
         rows[r] = initvec.vector_for(profile, args.k, r)
-    if args.format == "json":
-        payload = {
-            "p": args.p,
-            "k": args.k,
-            "modulus": modulus,
-            "vectors": {str(r): [e.to_json_dict() for e in vec.entries]
-                        for r, vec in rows.items()},
-        }
-        print(_compact_json(payload), file=out)
-    else:
-        for r, vec in rows.items():
-            print(f"r={r}: [{', '.join(str(e) for e in vec.entries)}]", file=out)
-    return 0
+    return (lambda: "\n".join(f"r={r}: {_listing(vec.entries)}" for r, vec in rows.items()),
+            lambda: {
+                "p": args.p,
+                "k": args.k,
+                "modulus": modulus,
+                "vectors": {str(r): [e.to_json_dict() for e in vec.entries]
+                            for r, vec in rows.items()},
+            })
 
 
-def _cmd_matrices(args, out) -> int:
-    _check_numbers(args)
+def _cmd_matrices(args):
     if args.d is not None and not 0 <= args.d < args.p:
         raise _UsageError(f"digit {args.d} not in [0, {args.p})")
     if args.d is None:
@@ -210,55 +200,47 @@ def _cmd_matrices(args, out) -> int:
     digits = [args.d] if args.d is not None else list(range(args.p))
     from .transfer import multinomial_matrix
     mats = {d: multinomial_matrix(args.p, args.k, d) for d in digits}
-    if args.format == "json":
-        payload = {
-            "p": args.p,
-            "k": args.k,
-            "matrices": {str(d): [[e.to_json_dict() for e in row] for row in m.entries]
-                         for d, m in mats.items()},
-        }
-        print(_compact_json(payload), file=out)
-    else:
-        for d, m in mats.items():
-            rows = ", ".join(
-                "[" + ", ".join(str(e) for e in row) + "]" for row in m.entries
-            )
-            print(f"d={d}: [{rows}]", file=out)
-    return 0
+    return (lambda: "\n".join(f"d={d}: {_listing(map(_listing, m.entries))}"
+                              for d, m in mats.items()),
+            lambda: {
+                "p": args.p,
+                "k": args.k,
+                "matrices": {str(d): [[e.to_json_dict() for e in row] for row in m.entries]
+                             for d, m in mats.items()},
+            })
 
 
-def _cmd_export(args, out) -> int:
-    _check_numbers(args)
+def _cmd_export(args):
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p)
     rep = engine.linear_representation(profile, args.k)
     import json
     text = json.dumps(rep.to_json_dict(), indent=1, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-        print(f"wrote {args.out}", file=out)
-    else:
-        print(text, file=out)
-    return 0
+    if not args.out:
+        return lambda: text, None
+    with open(args.out, "w", encoding="utf-8") as f:
+        f.write(text + "\n")
+    return lambda: f"wrote {args.out}", None
 
 
 def run(argv: list[str], stdout=None) -> int:
     """Parse argv, execute one subcommand, and return the exit code."""
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        _check_numbers(args)
+        text, payload = args.func(args)
+        print(_compact_json(payload()) if getattr(args, "format", None) == "json" else text(),
+              file=out)
+        return 0
     except SystemExit as e:  # --help
         return 0 if e.code in (0, None) else 1
-    try:
-        return args.func(args, out)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except _Divergence as e:
+        print(e, file=out)
+        return 2
     except engine.NormalizationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from .polyarith import ValPoly, slot_width, unpack
 from .seqcore import SequenceSpec, WorkLimitError
 
 MAX_TUPLES = 10 ** 7
-"""Most compositions ``brute_generating_poly`` enumerates for one n."""
+"""Most parts, k per composition, ``brute_generating_poly`` enumerates for one n."""
 MAX_SWEEP_STEPS = 10 ** 8
 """Largest k * n_max^2 that ``generating_polys`` accepts."""
 
@@ -115,19 +115,19 @@ def brute_generating_poly(spec: SequenceSpec, p: int, k: int, n: int, *,
                           _table: list[int] | None = None) -> ValPoly:
     """Sum of x^valuation over all k-part compositions of n, by enumeration.
 
-    Raises ``WorkLimitError`` before any work when there are more than
-    ``MAX_TUPLES`` compositions.  The fast path reads valuations off the
-    apparition-chain table; with bigint_samples > 0 that many random tuples
-    are recomputed from literal big-integer products and cross-checked.
+    Raises ``WorkLimitError`` before any work above ``MAX_TUPLES`` parts
+    in all.  The fast path reads valuations off the apparition-chain table;
+    with bigint_samples > 0 that many random tuples are recomputed from
+    literal big-integer products and cross-checked.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     tuples = comb(n + k - 1, k - 1)
-    if tuples > MAX_TUPLES:
+    if k * tuples > MAX_TUPLES:
         raise WorkLimitError(
-            f"enumeration refused: C({n}+{k}-1, {k}-1) = {tuples} tuples "
+            f"enumeration refused: {k}*C({n}+{k}-1, {k}-1) = {k * tuples} parts "
             f"exceeds the limit of {MAX_TUPLES}"
         )
     table = _table if _table is not None else corial_valuation_table(spec, p, n)

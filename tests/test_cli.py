@@ -32,10 +32,12 @@ def test_eval_golden_text():
 
 
 def test_eval_golden_json():
-    code, out = run_cli("eval", "--seq", "fibonacci", "-p", "2", "-n", "13",
-                        "--format", "json")
-    assert code == 0
-    assert out == '{"0":"4","1":"2","3":"4","4":"4"}\n'
+    # The oracle prints the same line as eval.
+    for command in ("eval", "oracle"):
+        code, out = run_cli(command, "--seq", "fibonacci", "-p", "2", "-n", "13",
+                            "--format", "json")
+        assert code == 0
+        assert out == '{"0":"4","1":"2","3":"4","4":"4"}\n'
 
 
 def test_modulus_path_is_unrecognized(capsys):
@@ -222,7 +224,7 @@ def test_export_acceptable_k4_modulus_50(tmp_path, make_chain_spec):
         assert rep.evaluate(*divmod(n, 50)) == want, n
 
 
-def test_usage_errors():
+def test_usage_errors(capsys):
     assert run_cli("eval", "--seq", "fibonacci", "-p", "4", "-n", "3")[0] == 1
     assert run_cli("eval", "--seq", "nonsense", "-p", "2", "-n", "3")[0] == 1
     assert run_cli("eval", "--seq", "fibonacci", "-p", "2", "-n", "-3")[0] == 1
@@ -238,6 +240,12 @@ def test_usage_errors():
                    "--format", "json")[0] == 1
     assert run_cli("export", "--seq", "fibonacci", "-p", "2", "--format", "text")[0] == 1
     assert run_cli("--help")[0] == 0
+    capsys.readouterr()
+    for argv, err in ((["verify", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
+                      (["classify", "--kmax", "1"], "--kmax must be >= 2, got 1"),
+                      (["vectors", "-r", "6"], "residue 6 not in [0, 6)")):
+        assert run_cli(*argv, "--seq", "fibonacci", "-p", "2") == (1, ""), argv[0]
+        assert capsys.readouterr().err == f"usage error: {err}\n", argv[0]
 
 
 def test_insufficient_terms_is_reported(tmp_path):
@@ -368,6 +376,7 @@ def test_oracle_work_is_refused_up_front(tmp_path, make_chain_spec, capsys, monk
     monkeypatch.setattr(oracle, "corial_valuation_table", no_work)
     monkeypatch.setattr(oracle, "compositions", no_work)
     for argv in (["oracle", "--seq", "fibonacci", "-p", "2", "-k", "4", "-n", "1000000"],
+                 ["oracle", "--seq", "fibonacci", "-p", "2", "-k", "10000000", "-n", "1"],
                  ["verify", "--seq", "fibonacci", "-p", "2", "-k", "3",
                   "--n-max", "1000000"],
                  ["verify", "--seq", f"file:{path}", "-p", "2", "-k", "3",

@@ -300,8 +300,8 @@ def test_work_limits_refuse_before_any_work(fib):
         generating_polys(fib, 2, 2, 10 ** 12)
     assert issubclass(WorkLimitError, ValueError)
     # The bounds themselves: the last size accepted and the first refused.
-    n = 4470                                   # C(4472, 2) = 9,997,156
-    assert comb(n + 2, 2) <= oracle.MAX_TUPLES < comb(n + 3, 2)
+    n = 2580                                   # 3 * C(2582, 2) = 9,996,213 parts
+    assert 3 * comb(n + 2, 2) <= oracle.MAX_TUPLES < 3 * comb(n + 3, 2)
     table = corial_valuation_table(fib, 2, n + 1)
     with pytest.raises(WorkLimitError):
         brute_generating_poly(fib, 2, 3, n + 1, _table=table)
