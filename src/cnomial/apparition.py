@@ -83,13 +83,6 @@ class PrimeProfile(Record):
         _set(self, "evidence_kmax", evidence_kmax)
 
     @property
-    def alpha(self) -> int:
-        """alpha(p), the rank of apparition of p itself."""
-        if not self.alpha_powers:
-            raise ValueError(f"p={self.p} has no apparition")
-        return self.alpha_powers[0]
-
-    @property
     def stable_modulus(self) -> int:
         """alpha(p^s), the index period once the ratio chain has stabilized."""
         if self.s is None or not self.alpha_powers:

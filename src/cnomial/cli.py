@@ -117,6 +117,8 @@ def _check_numbers(args):
         raise _UsageError(f"k must be >= 2, got {args.k}")
     if getattr(args, "n", 0) < 0:
         raise _UsageError(f"n must be >= 0, got {args.n}")
+    if getattr(args, "kmax", None) is not None and args.kmax < 2:
+        raise _UsageError(f"--kmax must be >= 2, got {args.kmax}")
 
 
 def _compact_json(payload) -> str:
@@ -160,8 +162,6 @@ def _cmd_verify(args):
 
 
 def _cmd_classify(args):
-    if args.kmax is not None and args.kmax < 2:
-        raise _UsageError(f"--kmax must be >= 2, got {args.kmax}")
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p, kmax=args.kmax)
     return (lambda: f"p={profile.p} class={profile.prime_class} s={profile.s} "

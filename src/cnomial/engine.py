@@ -14,14 +14,14 @@ sequence file every level the stored terms hold is used; they fix the
 answer while N < alpha_m*(floor(T/alpha_m) + 1) for T stored terms, and
 past that InsufficientTermsError is raised.
 
-Columns are packed integers, so one kernel answers a single N and a sweep
+One packed generator answers a single N (its first answer) and a sweep
 (``eval_sweep``) alike.  The exported ``LinearRepresentation`` evaluates
 with generic polynomial arithmetic instead.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from math import comb, prod
 
@@ -122,7 +122,7 @@ def _step(rows: tuple[tuple[int, ...], ...], column: list[int], shifts: list[int
     return out
 
 
-def _column(p: int, k: int, digits: list[int], width: int) -> list[int]:
+def _column(p: int, k: int, digits: Sequence[int], width: int) -> list[int]:
     """M(d_0) * ... * M(d_last) * e^T, accumulated from the right."""
     shifts = [row * width for row in range(k)]
     column = [1] + [0] * (k - 1)
@@ -190,59 +190,59 @@ def _checked(result: QueryResult, levels, k: int, n: int) -> QueryResult:
     return result
 
 
+def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last: int,
+             name: str) -> Iterator[QueryResult]:
+    """The answers at n = first, ..., last in turn, all at the slot width
+    ``_width(k, last)``; ``name`` names ``last`` in its error.  Reading q's
+    digits least significant first, v(q) = M(q mod p) * v(q // p) with
+    v(0) = e^T, so q's column is one ``_step`` from its parent's once an
+    earlier n built that, and otherwise ``_column``'s fold over q's digits
+    (``_top_column`` with no base-p tail).  A sweep makes one packed mat-vec
+    per quotient and one row per residue; one N keeps no column but its own.
+    """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if last < 0:
+        raise ValueError(f"{name} must be >= 0, got {last}")
+    levels, modulus, tail, bound = _chain(spec, profile)
+    path = _PATHS[profile.prime_class]
+    width = _width(k, last)
+    shifts = [row * width for row in range(k)]
+    columns: dict[int, tuple[tuple[int, ...], list[int]]] = {}     # q -> (digits, column)
+    terms: dict[int, list[tuple[int, int, int]]] = {}
+    for n in range(first, last + 1):
+        _require_fixed(spec, profile.p, bound, n)
+        q, r = divmod(n, modulus)
+        if n == first or not r:
+            if not tail:
+                digits, column = (), _top_column(k, q, width)
+            elif q and q // tail in columns:
+                parent_digits, parent = columns[q // tail]
+                digits = (q % tail, *parent_digits)
+                column = _step(digit_counts(tail, k, q % tail), parent, shifts)
+            else:
+                digits = tuple(base_digits(q, tail))
+                column = _column(tail, k, digits, width)
+            columns[q] = digits, column
+        if r not in terms:
+            terms[r] = _terms(initvec.row(levels, k, r), width)
+        poly = _contract(terms[r], column, width)
+        yield _checked(QueryResult(poly, path, (modulus, q, r, digits)), levels, k, n)
+
+
 def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int,
                          n: int) -> QueryResult:
     """Polynomial counting k-part compositions of n by the p-adic valuation
     of their generalized multinomial coefficient."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    levels, modulus, tail, bound = _chain(spec, profile)
-    _require_fixed(spec, profile.p, bound, n)
-    quot, r = divmod(n, modulus)
-    width = _width(k, n)
-    digits = base_digits(quot, tail) if tail else []
-    column = _column(tail, k, digits, width) if tail else _top_column(k, quot, width)
-    poly = _contract(_terms(initvec.row(levels, k, r), width), column, width)
-    return _checked(QueryResult(poly, _PATHS[profile.prime_class],
-                                (modulus, quot, r, tuple(digits))), levels, k, n)
+    return next(_answers(spec, profile, k, n, n, "n"))
 
 
 def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
                n_max: int) -> Iterator[QueryResult]:
     """Yield ``eval_generating_poly(spec, profile, k, n)`` for
     n = 0, 1, ..., n_max in turn, with the same paths, decompositions and
-    errors, each raised at the n where the per-n call raises it.
-
-    With a base-p tail the columns come from a quotient table: reading the
-    digits of q least significant first, v(q) = M(q mod p) * v(q // p) with
-    v(0) = e^T, so the whole sweep costs one packed mat-vec per quotient
-    q <= n_max // modulus, one row per residue, and one packed contraction
-    and one unpack per n, all at the slot width ``_width(k, n_max)``.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
-    levels, modulus, tail, bound = _chain(spec, profile)
-    path = _PATHS[profile.prime_class]
-    width = _width(k, n_max)
-    shifts = [row * width for row in range(k)]
-    table = [[1] + [0] * (k - 1)]           # v(0) = e^T
-    terms: dict[int, list[tuple[int, int, int]]] = {}
-    for q in range(n_max // modulus + 1):
-        _require_fixed(spec, profile.p, bound, q * modulus)
-        if tail and q:
-            table.append(_step(digit_counts(tail, k, q % tail), table[q // tail], shifts))
-        column = table[q] if tail else _top_column(k, q, width)
-        digits = tuple(base_digits(q, tail)) if tail else ()
-        for r in range(min(modulus, n_max - q * modulus + 1)):
-            if r not in terms:
-                terms[r] = _terms(initvec.row(levels, k, r), width)
-            poly = _contract(terms[r], column, width)
-            yield _checked(QueryResult(poly, path, (modulus, q, r, digits)),
-                           levels, k, q * modulus + r)
+    errors, each raised at the n where the per-n call raises it."""
+    yield from _answers(spec, profile, k, 0, n_max, "n_max")
 
 
 class LinearRepresentation(Record):

@@ -47,11 +47,6 @@ class ValPoly:
     def one(cls) -> "ValPoly":
         return cls({0: 1})
 
-    @classmethod
-    def monomial(cls, coefficient: int, exponent: int) -> "ValPoly":
-        """The polynomial coefficient * x^exponent (zero if coefficient is 0)."""
-        return cls({exponent: coefficient})
-
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
@@ -172,10 +167,6 @@ class PolyMatrix(Record):
         if k == 0 or any(len(row) != k for row in entries):
             raise ValueError("matrix entries must form a nonempty square grid")
         _set(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> "PolyMatrix":
-        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,4 @@
-"""Shared fixtures: the standard test sequences and a profile cache.
+"""Shared fixtures: the standard test sequences.
 
 The elliptic divisibility sequence files under data/ hold the fourteen
 published terms of A006769 and a 150-term extension produced by the
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cnomial import apparition, seqcore
+from cnomial import seqcore
 from cnomial.polyarith import ValPoly
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -60,23 +60,6 @@ def eds14():
 @pytest.fixture(scope="session")
 def eds150():
     return seqcore.load_terms_file(str(EDS150_PATH))
-
-
-@pytest.fixture(scope="session")
-def profile_of():
-    """classify() with per-session memoization; classification is pure.
-
-    Keyed on the frozen spec itself: file-backed specs with equal names but
-    different terms must not share an entry."""
-    cache = {}
-
-    def get(spec, p, **kwargs):
-        key = (spec, p, tuple(sorted(kwargs.items())))
-        if key not in cache:
-            cache[key] = apparition.classify(spec, p, **kwargs)
-        return cache[key]
-
-    return get
 
 
 @pytest.fixture(scope="session")

@@ -179,5 +179,5 @@ def component_vector(p, k, n):
             entries.append(ValPoly.zero())
             continue
         shift = factorial_valuation(n, p) - factorial_valuation(n - lam, p) + lam
-        entries.append(ValPoly.monomial(1, shift) * multinomial_count_poly(p, k, n - lam))
+        entries.append(ValPoly({shift: 1}) * multinomial_count_poly(p, k, n - lam))
     return PolyVector.column(*entries)

@@ -93,7 +93,7 @@ def test_criterion_4_classification_table():
         prof = classify(load_terms_file(str(EDS14_PATH)), 2)
         assert prof.prime_class is PrimeClass.IDEAL
         assert prof.s == 1
-        assert prof.alpha == 5
+        assert prof.alpha_powers[0] == 5
 
 
 def test_criterion_5_vector_table():

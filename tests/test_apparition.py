@@ -148,18 +148,18 @@ def test_classify_kmax_beyond_stored_terms(eds14):
     assert prof.evidence_kmax == 2
 
 
-def test_classify_lucas52(lucas52, profile_of):
-    prof = profile_of(lucas52, 7)
+def test_classify_lucas52(lucas52):
+    prof = classify(lucas52, 7)
     assert prof.prime_class is PrimeClass.IDEAL
     assert prof.s == 2
-    assert prof.alpha == 8
+    assert prof.alpha_powers[0] == 8
     assert prof.alpha_powers == (8, 8)
     assert prof.ratios == (8, 1, 7, 7, 7)
     assert prof.evidence_kmax == 5
 
 
-def test_classify_fibonacci(fib, profile_of):
-    prof = profile_of(fib, 2)
+def test_classify_fibonacci(fib):
+    prof = classify(fib, 2)
     assert prof.prime_class is PrimeClass.ACCEPTABLE
     assert prof.s == 3
     assert prof.alpha_powers == (3, 6, 6)
@@ -167,47 +167,45 @@ def test_classify_fibonacci(fib, profile_of):
     assert prof.stable_modulus == 6
 
 
-def test_classify_eds(eds14, eds150, profile_of):
-    prof = profile_of(eds14, 2)
+def test_classify_eds(eds14, eds150):
+    prof = classify(eds14, 2)
     assert prof.prime_class is PrimeClass.IDEAL
     assert prof.s == 1
-    assert prof.alpha == 5
+    assert prof.alpha_powers[0] == 5
     assert prof.evidence_kmax == 2  # the 14 stored terms support no more
-    long = profile_of(eds150, 2)
+    long = classify(eds150, 2)
     assert long.prime_class is PrimeClass.IDEAL
     assert long.s == 1
     assert long.ratios == (5, 2, 2, 2)
 
 
-def test_classify_naturals(naturals, profile_of):
+def test_classify_naturals(naturals):
     for p in (2, 3, 5):
-        prof = profile_of(naturals, p)
+        prof = classify(naturals, p)
         assert prof.prime_class is PrimeClass.IDEAL
         assert prof.s == 1
-        assert prof.alpha == p
+        assert prof.alpha_powers[0] == p
 
 
-def test_classify_no_apparition(profile_of):
-    prof = profile_of(LucasSpec(1, 2), 2)
+def test_classify_no_apparition():
+    prof = classify(LucasSpec(1, 2), 2)
     assert prof.prime_class is PrimeClass.NO_APPARITION
     assert prof.s is None
     assert prof.alpha_powers == ()
-    with pytest.raises(ValueError):
-        prof.alpha
 
 
-def test_classify_acceptable_chain(make_chain_spec, profile_of):
+def test_classify_acceptable_chain(make_chain_spec):
     spec = make_chain_spec((1, 2, 6, 12, 24, 48, 96), 96)
-    prof = profile_of(spec, 2)
+    prof = classify(spec, 2)
     assert prof.prime_class is PrimeClass.ACCEPTABLE
     assert prof.s == 3
     assert prof.ratios == (1, 2, 3, 2, 2, 2)
     assert prof.alpha_powers == (1, 2, 6)
 
 
-def test_classify_unacceptable_chain(make_chain_spec, profile_of):
+def test_classify_unacceptable_chain(make_chain_spec):
     spec = make_chain_spec((1, 2, 6, 18, 54), 60)
-    prof = profile_of(spec, 2, kmax=5)
+    prof = classify(spec, 2, kmax=5)
     assert prof.prime_class is PrimeClass.UNACCEPTABLE
     assert prof.s is None
     assert prof.ratios == (1, 2, 3, 3, 3)
@@ -251,10 +249,10 @@ def test_classify_lucas_fast_examples():
 
 
 @pytest.mark.parametrize("params", [(1, -1), (5, -2), (3, -1), (1, -3), (2, -1), (1, 2), (1, 3)])
-def test_classify_lucas_fast_agrees_with_classify(params, profile_of):
+def test_classify_lucas_fast_agrees_with_classify(params):
     spec = LucasSpec(*params)
     for p in (2, 3, 5, 7, 11, 13):
-        assert classify_lucas_fast(*params, p) is profile_of(spec, p).prime_class, (params, p)
+        assert classify_lucas_fast(*params, p) is classify(spec, p).prime_class, (params, p)
 
 
 def test_divisibility_law(fib, lucas52):
@@ -269,29 +267,29 @@ def test_divisibility_law(fib, lucas52):
                     assert divides == expected, (spec.selector, p, j, n)
 
 
-def test_s_two_ways_for_ideal(lucas52, naturals, eds14, fib, profile_of):
+def test_s_two_ways_for_ideal(lucas52, naturals, eds14, fib):
     # For ideal primes, s equals the valuation of the term at alpha(p) and
     # the stabilized chain is constant there.
     cases = [(lucas52, 7), (naturals, 3), (eds14, 2), (fib, 3), (fib, 5)]
     for spec, p in cases:
-        prof = profile_of(spec, p)
+        prof = classify(spec, p)
         assert prof.prime_class is PrimeClass.IDEAL
-        assert prof.s == sequence_valuation(spec, prof.alpha, p)
-        assert set(prof.alpha_powers) == {prof.alpha}
+        assert prof.s == sequence_valuation(spec, prof.alpha_powers[0], p)
+        assert set(prof.alpha_powers) == {prof.alpha_powers[0]}
 
 
-def test_profile_invariants(fib, lucas52, naturals, profile_of):
+def test_profile_invariants(fib, lucas52, naturals):
     for spec, p in [(fib, 2), (fib, 3), (lucas52, 7), (naturals, 5)]:
-        prof = profile_of(spec, p)
-        assert prof.ratios[0] == prof.alpha_powers[0] == prof.alpha
+        prof = classify(spec, p)
+        assert prof.ratios[0] == prof.alpha_powers[0]
         for a, b in zip(prof.alpha_powers, prof.alpha_powers[1:]):
             assert b % a == 0 and b >= a
         assert len(prof.alpha_powers) == prof.s
         assert prof.evidence_kmax == len(prof.ratios)
 
 
-def test_profile_json_round_trip(fib, profile_of):
-    prof = profile_of(fib, 2)
+def test_profile_json_round_trip(fib):
+    prof = classify(fib, 2)
     data = prof.to_json_dict()
     assert data["class"] == "Acceptable"
     assert profile_from_json(data) == prof
@@ -452,7 +450,7 @@ def test_classify_lucas_level_one_cost(monkeypatch, params, p, alpha):
     if alpha is None:
         assert (prof.alpha_powers, jumps[0]) == ((), 0)
     else:
-        assert prof.alpha == alpha
+        assert prof.alpha_powers[0] == alpha
         n = 6 if p == 2 else p + 1
         assert jumps[0] <= 1 + n.bit_length() + 2 * (len(prof.ratios) - 1)
 

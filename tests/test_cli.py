@@ -214,7 +214,7 @@ def test_export_acceptable_k4_modulus_50(tmp_path, make_chain_spec):
         p=3, k=4, modulus=50,
         residue_vectors={int(r): PolyVector.row(*map(poly, v))
                          for r, v in data["residue_vectors"].items()},
-        digit_matrices={int(d): PolyMatrix.from_rows([map(poly, row) for row in m])
+        digit_matrices={int(d): PolyMatrix(tuple(tuple(map(poly, row)) for row in m))
                         for d, m in data["digit_matrices"].items()},
         final_vector=PolyVector.column(*map(poly, data["final_vector"])),
     )
@@ -243,6 +243,7 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     for argv, err in ((["verify", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
                       (["classify", "--kmax", "1"], "--kmax must be >= 2, got 1"),
+                      (["verify", "--n-max", "5", "--kmax", "1"], "--kmax must be >= 2, got 1"),
                       (["vectors", "-r", "6"], "residue 6 not in [0, 6)")):
         assert run_cli(*argv, "--seq", "fibonacci", "-p", "2") == (1, ""), argv[0]
         assert capsys.readouterr().err == f"usage error: {err}\n", argv[0]

@@ -32,33 +32,33 @@ def test_base_digits():
     assert base_digits(25, 3) == [1, 2, 2]
 
 
-def test_golden_lucas(lucas52, profile_of):
-    res = eval_generating_poly(lucas52, profile_of(lucas52, 7), 2, 12)
+def test_golden_lucas(lucas52):
+    res = eval_generating_poly(lucas52, classify(lucas52, 7), 2, 12)
     assert res.polynomial == P({0: 10, 2: 3})
     assert res.path is EvalPath.IDEAL
     assert res.decomposition == (8, 1, 4, (1,))
 
 
-def test_golden_fibonacci(fib, profile_of):
-    res = eval_generating_poly(fib, profile_of(fib, 2), 2, 13)
+def test_golden_fibonacci(fib):
+    res = eval_generating_poly(fib, classify(fib, 2), 2, 13)
     assert res.polynomial == P({0: 4, 1: 2, 3: 4, 4: 4})
     assert res.path is EvalPath.ACCEPTABLE
     assert res.decomposition == (6, 2, 1, (0, 1))
 
 
-def test_golden_eds(eds14, profile_of):
-    res = eval_generating_poly(eds14, profile_of(eds14, 2), 2, 12)
+def test_golden_eds(eds14):
+    res = eval_generating_poly(eds14, classify(eds14, 2), 2, 12)
     assert res.polynomial == P({0: 6, 1: 3, 2: 4})
     assert res.path is EvalPath.IDEAL
     assert res.decomposition == (5, 2, 2, (0, 1))
 
 
-def test_golden_naturals(naturals, profile_of):
-    res = eval_generating_poly(naturals, profile_of(naturals, 2), 2, 4)
+def test_golden_naturals(naturals):
+    res = eval_generating_poly(naturals, classify(naturals, 2), 2, 4)
     assert res.polynomial == P({0: 2, 1: 1, 2: 2})
 
 
-def test_oracle_equivalence_spot(fib, lucas31, naturals, eds150, profile_of):
+def test_oracle_equivalence_spot(fib, lucas31, naturals, eds150):
     cases = [(fib, 2), (fib, 3), (lucas31, 2), (naturals, 5), (eds150, 2),
              (LucasSpec(1, 3), 2)]
     for spec, p in cases:
@@ -86,19 +86,19 @@ def test_leading_zero_insensitive():
         assert acc1 == acc2
 
 
-def test_normalization(fib, profile_of):
-    prof = profile_of(fib, 2)
+def test_normalization(fib):
+    prof = classify(fib, 2)
     for k in (2, 3, 4):
         for n in (0, 1, 17, 64, 123):
             poly = eval_generating_poly(fib, prof, k, n).polynomial
             assert poly.eval_at_one() == comb(n + k - 1, k - 1)
 
 
-def test_naturals_reduction(naturals, profile_of):
+def test_naturals_reduction(naturals):
     # With C_n = n the result must be the classical multinomial count,
     # computed here directly from base-p digit sums.
     for p in (2, 3):
-        prof = profile_of(naturals, p)
+        prof = classify(naturals, p)
         for n in range(61):
             got = eval_generating_poly(naturals, prof, 2, n).polynomial
             counts = {}
@@ -108,10 +108,10 @@ def test_naturals_reduction(naturals, profile_of):
             assert got == ValPoly(counts), (p, n)
 
 
-def test_zero_valuation_count_is_digit_product(naturals, profile_of):
+def test_zero_valuation_count_is_digit_product(naturals):
     # Tuples with valuation zero: product of (digit + 1) over the digits of n.
     for p in (2, 3, 5):
-        prof = profile_of(naturals, p)
+        prof = classify(naturals, p)
         for n in range(81):
             poly = eval_generating_poly(naturals, prof, 2, n).polynomial
             expected = 1
@@ -157,7 +157,7 @@ def test_constant_term_counts_carry_free_compositions(make_chain_spec, path, k, 
         assert res.polynomial.coefficient(0) == carry_free(prof, k, m), m
 
 
-def test_carry_free_check_catches_a_lost_shift(fib, profile_of, monkeypatch):
+def test_carry_free_check_catches_a_lost_shift(fib, monkeypatch):
     # A digit step that leaves row 1 unshifted moves coefficients between
     # exponents, so their sum holds; the constant term does not.
     real = engine._step
@@ -168,7 +168,7 @@ def test_carry_free_check_catches_a_lost_shift(fib, profile_of, monkeypatch):
     monkeypatch.setattr(engine, "_step", unshifted)
     n = 10 ** 20 + 7
     with pytest.raises(NormalizationError, match="normalization broken: the constant term"):
-        eval_generating_poly(fib, profile_of(fib, 2), 3, n)
+        eval_generating_poly(fib, classify(fib, 2), 3, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,9 +183,9 @@ def test_step_matches_the_dense_product(p, k, width, column):
             sum(c * v for c, v in zip(row, column)) << s for row, s in zip(rows, shifts)], d
 
 
-def test_no_apparition_trivial(profile_of):
+def test_no_apparition_trivial():
     spec = LucasSpec(1, 2)
-    prof = profile_of(spec, 2)
+    prof = classify(spec, 2)
     for n in (0, 5, 100):
         res = eval_generating_poly(spec, prof, 2, n)
         assert res.path is EvalPath.TRIVIAL
@@ -203,21 +203,37 @@ def test_unacceptable_falls_back_to_oracle(make_chain_spec):
         assert res.polynomial == oracle.brute_generating_poly(spec, 2, 2, n)
 
 
-def test_force_path_errors(fib, lucas52, profile_of):
+def test_force_path_errors(fib, lucas52):
     # linear_representation accepts force_path=None or "acceptable" only.
-    for prof in (profile_of(fib, 2), profile_of(lucas52, 7)):
+    for prof in (classify(fib, 2), classify(lucas52, 7)):
         for force in ("ideal", "auto", "sideways"):
             with pytest.raises(ValueError, match="unknown path"):
                 linear_representation(prof, 2, force_path=force)
     for name in ("eval_generating_poly", "eval_sweep"):
         with pytest.raises(TypeError):
-            getattr(engine, name)(fib, profile_of(fib, 2), 2, 5, force_path="acceptable")
+            getattr(engine, name)(fib, classify(fib, 2), 2, 5, force_path="acceptable")
 
 
-def test_force_path_acceptable_is_inert(fib, lucas52, profile_of):
+@pytest.mark.parametrize("k, n, err", [(1, 3, "k must be >= 2, got 1"),
+                                       (2, -1, "n must be >= 0, got -1"),
+                                       (1, -1, "k must be >= 2, got 1")])
+def test_argument_errors(fib, k, n, err):
+    # One N raises at the call; a sweep raises at its first next(), naming
+    # n_max, and k is checked before the index in both.
+    prof = classify(fib, 2)
+    with pytest.raises(ValueError) as raised:
+        eval_generating_poly(fib, prof, k, n)
+    assert str(raised.value) == err
+    sweep = engine.eval_sweep(fib, prof, k, n)
+    with pytest.raises(ValueError) as raised:
+        next(sweep)
+    assert str(raised.value) == err.replace("n must", "n_max must")
+
+
+def test_force_path_acceptable_is_inert(fib, lucas52):
     # An ideal prime (Lucas(5,-2) at 7) and an acceptable one (Fibonacci at 2).
     for spec, p in [(lucas52, 7), (fib, 2)]:
-        prof = profile_of(spec, p)
+        prof = classify(spec, p)
         for k in (2, 3):
             plain = json.dumps(linear_representation(prof, k).to_json_dict(), sort_keys=True)
             forced = linear_representation(prof, k, force_path="acceptable")
@@ -225,8 +241,8 @@ def test_force_path_acceptable_is_inert(fib, lucas52, profile_of):
 
 
 
-def test_linear_representation_fibonacci(fib, profile_of):
-    prof = profile_of(fib, 2)
+def test_linear_representation_fibonacci(fib):
+    prof = classify(fib, 2)
     rep = linear_representation(prof, 2)
     assert rep.modulus == 6
     assert sorted(rep.residue_vectors) == [0, 1, 2, 3, 4, 5]
@@ -239,20 +255,20 @@ def test_linear_representation_fibonacci(fib, profile_of):
                 fib, prof, 2, 6 * n + r).polynomial
 
 
-def test_linear_representation_naturals(naturals, profile_of):
-    rep = linear_representation(profile_of(naturals, 3), 2)
+def test_linear_representation_naturals(naturals):
+    rep = linear_representation(classify(naturals, 3), 2)
     assert rep.modulus == 3
     assert rep.residue_vectors[0].entries == (P({0: 1}), P({0: 2}))
     assert rep.residue_vectors[1].entries == (P({0: 2}), P({0: 1}))
     assert rep.residue_vectors[2].entries == (P({0: 3}), ValPoly.zero())
 
 
-def test_linear_representation_lucas_example(lucas52, profile_of):
-    rep = linear_representation(profile_of(lucas52, 7), 2)
+def test_linear_representation_lucas_example(lucas52):
+    rep = linear_representation(classify(lucas52, 7), 2)
     assert rep.evaluate(1, 4) == P({0: 10, 2: 3})
 
 
-def test_linear_representation_errors(profile_of, make_chain_spec):
+def test_linear_representation_errors(make_chain_spec):
     with pytest.raises(ValueError):
         linear_representation(classify(LucasSpec(1, 2), 2), 2)
     unacc = classify(make_chain_spec((1, 2, 6, 18, 54), 60), 2, kmax=5)
@@ -260,8 +276,8 @@ def test_linear_representation_errors(profile_of, make_chain_spec):
         linear_representation(unacc, 2)
 
 
-def test_linear_representation_json_shape(fib, profile_of):
-    data = linear_representation(profile_of(fib, 2), 2).to_json_dict()
+def test_linear_representation_json_shape(fib):
+    data = linear_representation(classify(fib, 2), 2).to_json_dict()
     assert data["p"] == 2 and data["k"] == 2 and data["modulus"] == 6
     assert len(data["residue_vectors"]) == 6
     assert len(data["digit_matrices"]) == 2
@@ -322,7 +338,7 @@ def test_packed_loop_matches_generic_loop(case):
     assert packed_apply(p, k, n) == generic_apply(p, k, base_digits(n, p)), case
 
 
-def test_packed_loop_slot_width_edge(naturals, profile_of):
+def test_packed_loop_slot_width_edge(naturals):
     # The widest coefficients relative to the slot: large p and k, 30 base-p
     # digits, all maximal or mixed.
     p, k = 101, 6
@@ -340,15 +356,15 @@ def test_packed_loop_slot_width_edge(naturals, profile_of):
     # C(N//2 + 1, 1) = 2^(L-1).
     for bits in (7, 8, 63, 64, 199, 200):
         n = 2 ** bits - 1
-        res = eval_generating_poly(naturals, profile_of(naturals, 2), 2, n)
+        res = eval_generating_poly(naturals, classify(naturals, 2), 2, n)
         assert res.polynomial == P({0: n + 1}), bits
 
 
-def test_packed_loop_builds_no_polynomial_per_digit(fib, profile_of, monkeypatch):
+def test_packed_loop_builds_no_polynomial_per_digit(fib, monkeypatch):
     # Counted rather than timed: the polynomials built for one query do not
     # depend on the number of digits.  Both indices have residue 1 mod 6, so
     # they share the initial vector.
-    prof = profile_of(fib, 2)
+    prof = classify(fib, 2)
     init = ValPoly.__init__
     built = [0]
 
@@ -367,7 +383,7 @@ def test_packed_loop_builds_no_polynomial_per_digit(fib, profile_of, monkeypatch
     assert counts[0] == counts[1]
 
 
-def test_normalization_failure_is_typed(lucas52, profile_of, monkeypatch):
+def test_normalization_failure_is_typed(lucas52, monkeypatch):
     real = engine._column
 
     def bumped(p, k, digits, width):
@@ -375,16 +391,16 @@ def test_normalization_failure_is_typed(lucas52, profile_of, monkeypatch):
 
     monkeypatch.setattr(engine, "_column", bumped)
     with pytest.raises(NormalizationError, match="normalization broken"):
-        eval_generating_poly(lucas52, profile_of(lucas52, 7), 2, 12)
+        eval_generating_poly(lucas52, classify(lucas52, 7), 2, 12)
     assert issubclass(NormalizationError, ArithmeticError)
 
 
-def test_indices_below_the_modulus(fib, lucas52, naturals, eds150, profile_of):
+def test_indices_below_the_modulus(fib, lucas52, naturals, eds150):
     # n < modulus leaves no base-p digit: the column is e^T itself, and the
     # answer is entry 0 of the residue vector, as the exported data says.
     assert _column(7, 4, [], 8) == [1, 0, 0, 0]
     for spec, p in [(fib, 2), (lucas52, 7), (naturals, 5), (eds150, 2)]:
-        prof = profile_of(spec, p)
+        prof = classify(spec, p)
         for k in (2, 3, 4):
             rep = linear_representation(prof, k)
             for r in range(rep.modulus):
@@ -411,9 +427,9 @@ def test_indices_below_the_modulus(fib, lucas52, naturals, eds150, profile_of):
     pytest.param("lucas52", 7, 3, 0, id="lucas52-7-ideal-3-0"),
     pytest.param("eds150", 7, 5, 8, id="eds150-7-None-5-8"),
 ])
-def test_eval_sweep_matches_per_n(name, p, k, n_max, request, profile_of):
+def test_eval_sweep_matches_per_n(name, p, k, n_max, request):
     spec = request.getfixturevalue(name)
-    prof = profile_of(spec, p)
+    prof = classify(spec, p)
     got = list(engine.eval_sweep(spec, prof, k, n_max))
     want = [eval_generating_poly(spec, prof, k, n) for n in range(n_max + 1)]
     assert got == want     # polynomial, path and decomposition
@@ -451,7 +467,7 @@ def test_eval_sweep_unacceptable_does_not_enumerate(make_chain_spec, monkeypatch
         eval_generating_poly(unacc, prof, 3, 108)
 
 
-def test_eval_sweep_builds_one_vector_per_residue(fib, profile_of, monkeypatch):
+def test_eval_sweep_builds_one_vector_per_residue(fib, monkeypatch):
     calls = []
     real = engine.initvec.row
 
@@ -460,12 +476,12 @@ def test_eval_sweep_builds_one_vector_per_residue(fib, profile_of, monkeypatch):
         return real(levels, k, r)
 
     monkeypatch.setattr(engine.initvec, "row", counted)
-    prof = profile_of(fib, 2)
+    prof = classify(fib, 2)
     assert len(list(engine.eval_sweep(fib, prof, 3, 200))) == 201
     assert sorted(calls) == list(range(prof.stable_modulus))
 
 
-def test_eval_sweep_normalization_at_the_same_n(lucas52, profile_of, monkeypatch):
+def test_eval_sweep_normalization_at_the_same_n(lucas52, monkeypatch):
     # A residue vector that is wrong for r = 5 only: the sweep yields every
     # n before the first n = 5 (mod 8) and raises there, as per-n calls do.
     real = engine.initvec.row
@@ -477,7 +493,7 @@ def test_eval_sweep_normalization_at_the_same_n(lucas52, profile_of, monkeypatch
         return [e + ValPoly.one() for e in u]
 
     monkeypatch.setattr(engine.initvec, "row", corrupt)
-    prof = profile_of(lucas52, 7)
+    prof = classify(lucas52, 7)
     sweep = engine.eval_sweep(lucas52, prof, 2, 40)
     assert [next(sweep).decomposition[2] for _ in range(5)] == [0, 1, 2, 3, 4]
     with pytest.raises(NormalizationError):
@@ -543,12 +559,12 @@ def test_stored_chain_reads_levels_past_the_profile(make_chain_spec):
     assert list(engine.eval_sweep(spec, prof, 2, 6))[6].polynomial == want
 
 
-def test_digit_counts_cache_is_bounded(naturals, profile_of):
+def test_digit_counts_cache_is_bounded(naturals):
     # alpha(p) = p for the naturals: every residue of a sweep keys its own
     # first-level carry step.
     p = 4099
     assert p > transfer.DIGIT_COUNTS_CACHE
-    prof = profile_of(naturals, p)
+    prof = classify(naturals, p)
     for res in engine.eval_sweep(naturals, prof, 2, p - 1):
         pass
     assert res.decomposition == (p, 0, p - 1, ())

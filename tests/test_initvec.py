@@ -22,26 +22,26 @@ def ideal_multinomial_vector(profile, k, r):
     # x^((s-1)*lam) times the number of k-tuples in [0, alpha)^k summing to
     # r + lam*alpha.
     assert profile.prime_class is PrimeClass.IDEAL
-    alpha, s = profile.alpha, profile.s
+    alpha, s = profile.alpha_powers[0], profile.s
     return PolyVector.row(*(ValPoly({(s - 1) * lam: digit_sum_count(k, alpha, r + lam * alpha)})
                             for lam in range(k)))
 
 
-def test_ideal_binomial_vector_examples(lucas52, eds14, profile_of):
+def test_ideal_binomial_vector_examples(lucas52, eds14):
     # k = 2 at an ideal prime: [r+1, (alpha(p)-r-1) * x^(s-1)].
-    prof7 = profile_of(lucas52, 7)
+    prof7 = classify(lucas52, 7)
     assert prof7.stable_modulus == 8
     assert vector_for(prof7, 2, 4).entries == (P({0: 5}), P({1: 3}))
 
-    prof2 = profile_of(eds14, 2)
+    prof2 = classify(eds14, 2)
     assert vector_for(prof2, 2, 2).entries == (P({0: 3}), P({0: 2}))
 
     edge = vector_for(prof7, 2, 7)  # r = alpha - 1
     assert edge.entries == (P({0: 8}), ValPoly.zero())
 
 
-def test_f_value_fibonacci_table(fib, profile_of):
-    prof = profile_of(fib, 2)
+def test_f_value_fibonacci_table(fib):
+    prof = classify(fib, 2)
     # alpha(8)/alpha(2) + alpha(8)/alpha(4) + alpha(8)/alpha(8) = 2 + 1 + 1.
     assert sum(prof.stable_modulus // a for a in prof.alpha_powers) == 4
     assert f_value(prof, 2, 1, 1, (2, 5)) == 3
@@ -50,14 +50,14 @@ def test_f_value_fibonacci_table(fib, profile_of):
     assert f_value(prof, 2, 0, 1, (1, 0)) == 0
 
 
-def test_f_value_vanishes_for_small_residues(naturals, profile_of):
-    prof = profile_of(naturals, 3)
+def test_f_value_vanishes_for_small_residues(naturals):
+    prof = classify(naturals, 3)
     assert f_value(prof, 2, 0, 2, (1, 1)) == 0
     assert f_value(prof, 3, 0, 2, (1, 1, 0)) == 0
 
 
-def test_f_value_validation(fib, profile_of):
-    prof = profile_of(fib, 2)
+def test_f_value_validation(fib):
+    prof = classify(fib, 2)
     with pytest.raises(ValueError):
         f_value(prof, 2, 1, 1, (2, 4))  # wrong tuple sum
     with pytest.raises(ValueError):
@@ -70,14 +70,14 @@ def test_f_value_validation(fib, profile_of):
         f_value(prof, 2, 1, -2, (1, 3))  # residue out of range
 
 
-def test_ideal_multinomial_vector_examples(naturals, profile_of):
-    prof = profile_of(naturals, 2)
+def test_ideal_multinomial_vector_examples(naturals):
+    prof = classify(naturals, 2)
     assert vector_for(prof, 3, 1).entries == (P({0: 3}), P({0: 1}), ValPoly.zero())
     assert vector_for(prof, 4, 0).entries[0] == ValPoly.one()
 
 
-def test_acceptable_vector_fibonacci_table(fib, profile_of):
-    prof = profile_of(fib, 2)
+def test_acceptable_vector_fibonacci_table(fib):
+    prof = classify(fib, 2)
     expected = {
         0: (P({0: 1}), P({1: 1, 2: 4})),
         1: (P({0: 2}), P({1: 2, 2: 2})),
@@ -91,11 +91,11 @@ def test_acceptable_vector_fibonacci_table(fib, profile_of):
     assert prof.stable_modulus == 6
 
 
-def test_acceptable_vector_count_normalization(fib, naturals, profile_of):
+def test_acceptable_vector_count_normalization(fib, naturals):
     # Entry lam evaluated at x = 1 counts the tuples below alpha(p^s)
     # summing to r + lam * alpha(p^s).
     for spec, p, k in [(fib, 2, 2), (fib, 2, 3), (naturals, 3, 2)]:
-        prof = profile_of(spec, p)
+        prof = classify(spec, p)
         base = prof.stable_modulus
         for r in range(base):
             for lam, entry in enumerate(vector_for(prof, k, r).entries):
@@ -104,11 +104,11 @@ def test_acceptable_vector_count_normalization(fib, naturals, profile_of):
                 assert entry.eval_at_one() == count, (spec.selector, p, k, r, lam)
 
 
-def test_acceptable_vector_specializes_to_ideal(lucas52, naturals, eds14, profile_of):
+def test_acceptable_vector_specializes_to_ideal(lucas52, naturals, eds14):
     for spec, p in [(lucas52, 7), (naturals, 3), (eds14, 2)]:
-        prof = profile_of(spec, p)
+        prof = classify(spec, p)
         for k in (2, 3, 4, 5):
-            for r in range(prof.alpha):
+            for r in range(prof.alpha_powers[0]):
                 assert (vector_for(prof, k, r)
                         == ideal_multinomial_vector(prof, k, r)), (spec.selector, k, r)
 
@@ -122,13 +122,13 @@ def test_acceptable_vector_rejects_corrupt_profile():
         vector_for(broken, 2, 3)
 
 
-def test_vector_for_errors(fib, lucas52, profile_of, make_chain_spec):
-    prof7 = profile_of(lucas52, 7)
+def test_vector_for_errors(fib, lucas52, make_chain_spec):
+    prof7 = classify(lucas52, 7)
     for r in (-1, 8):  # residues modulo alpha(7) = 8
         with pytest.raises(ValueError, match="residue"):
             vector_for(prof7, 2, r)
     with pytest.raises(ValueError, match="k must be"):
-        vector_for(profile_of(fib, 2), 1, 0)
+        vector_for(classify(fib, 2), 1, 0)
     noapp = classify(LucasSpec(1, 2), 2)
     unacc = classify(make_chain_spec((1, 2, 6, 18, 54), 60), 2, kmax=5)
     for prof in (noapp, unacc):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnomial import oracle
-from cnomial.apparition import valuation
+from cnomial.apparition import classify, valuation
 from cnomial.oracle import (
     StrongDivisibilityError,
     WorkLimitError,
@@ -195,12 +195,12 @@ def test_multinomial_count_poly_matches_enumeration():
                 assert multinomial_count_poly(p, k, n) == ValPoly(counts), (p, k, n)
 
 
-def test_residue_split_identity_ideal(lucas52, eds150, naturals, profile_of):
+def test_residue_split_identity_ideal(lucas52, eds150, naturals):
     # Splitting the index as alpha * n' + r turns the count into
     # (r+1) * component_0(n') + (alpha-r-1) * x^(s-1) * component_1(n').
     for spec, p, nmax in [(lucas52, 7, 30), (eds150, 2, 20), (naturals, 3, 30)]:
-        prof = profile_of(spec, p)
-        alpha, s = prof.alpha, prof.s
+        prof = classify(spec, p)
+        alpha, s = prof.alpha_powers[0], prof.s
         table = corial_valuation_table(spec, p, alpha * nmax + alpha - 1)
         for nprime in range(nmax + 1):
             comp = component_vector(p, 2, nprime)
@@ -211,12 +211,12 @@ def test_residue_split_identity_ideal(lucas52, eds150, naturals, profile_of):
                 assert lhs == rhs, (spec.selector, p, nprime, r)
 
 
-def test_acceptable_contraction_identity(fib, profile_of):
+def test_acceptable_contraction_identity(fib):
     # Contracting the acceptable initial vector with the component column
     # reproduces the brute-force count at alpha(p^s) * n' + r.
     from cnomial.initvec import vector_for
 
-    prof = profile_of(fib, 2)
+    prof = classify(fib, 2)
     base = prof.stable_modulus
     for k in (2, 3):
         table = corial_valuation_table(fib, 2, 60)

@@ -98,7 +98,7 @@ def test_keyword_and_default_construction():
     prof = PrimeProfile(p=5, prime_class=PrimeClass.IDEAL, alpha_powers=(5,), s=1,
                         ratios=(5, 5), evidence_kmax=2)
     assert prof == PrimeProfile(5, PrimeClass.IDEAL, (5,), 1, (5, 5), 2)
-    assert (prof.p, prof.alpha, prof.stable_modulus) == (5, 5, 5)
+    assert (prof.p, prof.alpha_powers[0], prof.stable_modulus) == (5, 5, 5)
     assert FileBackedSpec((1, 1, 2)).name == "file"
     assert FileBackedSpec(terms=(1, 1), name="f.txt").selector == "file:f.txt"
     assert LucasSpec(Q=-1, P=1) == LucasSpec(1, -1)
