@@ -198,8 +198,7 @@ def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last
     v(0) = e^T, so q's column is one ``_step`` from its parent's once an
     earlier n built that, and otherwise ``_column``'s fold over q's digits
     (``_top_column`` with no base-p tail).  A sweep makes one packed mat-vec
-    per quotient and one row per residue; one N keeps no column but its own.
-    """
+    per quotient and one row per residue; one N keeps no column but its own."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if last < 0:
@@ -223,7 +222,8 @@ def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last
             else:
                 digits = tuple(base_digits(q, tail))
                 column = _column(tail, k, digits, width)
-            columns[q] = digits, column
+            if tail:
+                columns[q] = digits, column
         if r not in terms:
             terms[r] = _terms(initvec.row(levels, k, r), width)
         poly = _contract(terms[r], column, width)

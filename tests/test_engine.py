@@ -468,17 +468,24 @@ def test_eval_sweep_unacceptable_does_not_enumerate(make_chain_spec, monkeypatch
 
 
 def test_eval_sweep_builds_one_vector_per_residue(fib, monkeypatch):
-    calls = []
-    real = engine.initvec.row
+    # ... and one digit step per quotient q >= 1, from the column of q // 2.
+    calls, steps = [], []
+    real, real_step = engine.initvec.row, engine._step
 
     def counted(levels, k, r):
         calls.append(r)
         return real(levels, k, r)
 
+    def counted_step(rows, column, shifts):
+        steps.append(rows)
+        return real_step(rows, column, shifts)
+
     monkeypatch.setattr(engine.initvec, "row", counted)
+    monkeypatch.setattr(engine, "_step", counted_step)
     prof = classify(fib, 2)
     assert len(list(engine.eval_sweep(fib, prof, 3, 200))) == 201
     assert sorted(calls) == list(range(prof.stable_modulus))
+    assert len(steps) == 200 // prof.stable_modulus
 
 
 def test_eval_sweep_normalization_at_the_same_n(lucas52, monkeypatch):
