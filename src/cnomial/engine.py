@@ -169,10 +169,16 @@ def _require_fixed(spec: SequenceSpec, p: int, bound: int | None, n: int) -> Non
             f"the answer at p={p} only for N < {bound}, not N = {n}")
 
 
-def _checked(result: QueryResult, levels, k: int, n: int) -> QueryResult:
-    """Check the coefficient sum, then the constant term: the compositions with
-    no carry, C(t+k-1, k-1) for each mixed-radix digit t of n (r's in the
-    chain's radices, then q's base-p digits, or q as one top digit)."""
+def _carry_free(digits, k: int) -> int:
+    """The compositions with no carry at these mixed-radix digits:
+    C(t+k-1, k-1) for each digit t."""
+    return prod(comb(t + k - 1, k - 1) for t in digits)
+
+
+def _checked(result: QueryResult, k: int, n: int, carry_free: int) -> QueryResult:
+    """Check the coefficient sum, then the constant term against
+    ``carry_free``: r's factor from its digits in the chain's radices times
+    q's from its base-p digits (or q as one top digit)."""
     expected = comb(n + k - 1, k - 1)
     total = result.polynomial.eval_at_one()
     if total != expected:
@@ -180,13 +186,10 @@ def _checked(result: QueryResult, levels, k: int, n: int) -> QueryResult:
             f"normalization broken: coefficients sum to {total}, "
             f"expected C({n}+{k}-1, {k}-1) = {expected}"
         )
-    _, quot, r, digits = result.decomposition
-    lower = [r // a % (b // a) for a, b in zip((1, *levels), levels)]
-    expected = prod(comb(t + k - 1, k - 1) for t in lower + list(digits or (quot,)))
-    if result.polynomial.coefficient(0) != expected:
+    if result.polynomial.coefficient(0) != carry_free:
         raise NormalizationError(f"normalization broken: the constant term is "
                                  f"{result.polynomial.coefficient(0)}, expected "
-                                 f"{expected} carry-free compositions")
+                                 f"{carry_free} carry-free compositions")
     return result
 
 
@@ -208,7 +211,7 @@ def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last
     width = _width(k, last)
     shifts = [row * width for row in range(k)]
     columns: dict[int, tuple[tuple[int, ...], list[int]]] = {}     # q -> (digits, column)
-    terms: dict[int, list[tuple[int, int, int]]] = {}
+    rows: dict[int, tuple[list[tuple[int, int, int]], int]] = {}   # r -> (terms, carry-free)
     for n in range(first, last + 1):
         _require_fixed(spec, profile.p, bound, n)
         q, r = divmod(n, modulus)
@@ -224,10 +227,13 @@ def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last
                 column = _column(tail, k, digits, width)
             if tail:
                 columns[q] = digits, column
-        if r not in terms:
-            terms[r] = _terms(initvec.row(levels, k, r), width)
-        poly = _contract(terms[r], column, width)
-        yield _checked(QueryResult(poly, path, (modulus, q, r, digits)), levels, k, n)
+            upper = _carry_free(digits or (q,), k)
+        if r not in rows:
+            lower = [r // a % (b // a) for a, b in zip((1, *levels), levels)]
+            rows[r] = _terms(initvec.row(levels, k, r), width), _carry_free(lower, k)
+        terms, carry_free = rows[r]
+        poly = _contract(terms, column, width)
+        yield _checked(QueryResult(poly, path, (modulus, q, r, digits)), k, n, carry_free * upper)
 
 
 def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int,

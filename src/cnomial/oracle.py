@@ -8,16 +8,18 @@ valuation t(n) - t(m_1) - ... - t(m_k).  Two evaluators read that table:
 * ``brute_generating_poly`` enumerates the C(n+k-1, k-1) compositions of
   one n literally; an optional sampling mode recomputes tuples from exact
   big-integer term products.
-* ``generating_polys`` sweeps n = 0..n_max by convolving over the first
-  part: P_1(n) = 1 and P_j(n) = sum over m of
-  x^(t(n) - t(m) - t(n-m)) * P_(j-1)(n-m).  Each exponent is one
-  C-binomial's valuation, so degrees stay small; the sweep costs about
-  k * n_max^2 / 2 additions of small packed integers.
+* ``generating_polys`` sweeps n = 0..n_max at once: P_k(n) is x^t(n)
+  times the coefficient of z^n in A(z)^k, where A(z) is the sum over
+  m <= n_max of x^(-t(m)) * z^m.  A is packed into one integer, raised to
+  the k-th power by O(log k) big-integer products, and every P_k(n) is
+  read off the result (``_power``).
 
 Both refuse up front (``WorkLimitError``) work above a fixed bound.  None
 of this touches the transfer matrices or initial vectors it is used to
-check.  Per-tuple valuations and the naturals' component vectors (the
-advancement-identity reference) live in the tests' ``reference.py``.
+check.  Per-tuple valuations, the naturals' component vectors (the
+advancement-identity reference) and the convolution over the first part
+that ``generating_polys`` is held against live in the tests'
+``reference.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import random
 from collections.abc import Iterator
 from itertools import accumulate
 from math import comb, prod
-from operator import lshift, mul
+from operator import add, mul
 
 from . import apparition, seqcore
 from .apparition import StrongDivisibilityError
@@ -157,14 +159,18 @@ def brute_generating_poly(spec: SequenceSpec, p: int, k: int, n: int, *,
 def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int,
                      table: list[int] | None = None) -> Iterator[ValPoly]:
     """The polynomials of ``brute_generating_poly`` for n = 0..n_max, yielded
-    in increasing n, by convolution over the first part.
+    in increasing n, read off one power of the corial generating function.
 
     The work bound is checked, and the corial table (unless given) built,
-    before this returns; the polynomials are computed as they are taken.
-    StrongDivisibilityError is raised at the first n with a negative
-    binomial valuation t(n) - t(m) - t(n-m), which is the first n at which
-    enumeration finds a negative multinomial valuation: that valuation is a
-    sum of nested binomial ones at indices <= n.
+    before this returns; the power is taken at the first ``next()``.  A
+    table built here comes from an apparition chain, whose levels (level j
+    is the first n that j levels divide) bound the power's slots.  A table
+    passed in has no chain behind it, so it is scanned per n instead, and
+    StrongDivisibilityError is raised, after the answers below it, at the
+    first n with a negative binomial valuation t(n) - t(m) - t(n-m).  That
+    is the first n at which enumeration finds a negative multinomial
+    valuation: that valuation is a sum of nested binomial ones at indices
+    <= n.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -173,33 +179,91 @@ def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int,
     steps = k * n_max * n_max
     if steps > MAX_SWEEP_STEPS:
         raise WorkLimitError(
-            f"sweep refused: k * n_max^2 = {steps} convolution steps "
+            f"sweep refused: k * n_max^2 = {steps} "
             f"exceeds the limit of {MAX_SWEEP_STEPS}"
         )
     if table is None:
         table = corial_valuation_table(spec, p, n_max)
-    return _convolve(table, k, n_max)
+        levels: list[int] = []
+        for n in range(1, n_max + 1):
+            levels += [n] * (table[n] - table[n - 1] - len(levels))
+        top = sum(min(k - 1 - (k - 1) // a, n_max // a) for a in levels)
+        return _power(table, k, n_max, len(levels), top)
+    return _power(table, k, *_scan(table, k, n_max))
 
 
-def _convolve(table: list[int], k: int, n_max: int) -> Iterator[ValPoly]:
-    # parts[j][n] is P_(j+1)(n) packed into one integer, one slot of
-    # ``width`` bits per exponent; no coefficient of P_j(n) exceeds
-    # C(n+j-1, j-1), so the slots never overflow.  The term of part m is
-    # P_(j-1)(n-m) shifted left by width * (t(n) - t(m) - t(n-m)) bits; that
-    # shift is the same for m and n - m, so P_(j-1)(m) takes it in the sum.
-    width = slot_width(comb(n_max + k - 1, k - 1))
-    parts: list[list[int]] = [[] for _ in range(k)]
+def _scan(table: list[int], k: int, n_max: int):
+    """(last, jump, top, error) for a table passed in: its answers are sound
+    up to ``last``, the n before the first negative binomial valuation,
+    which ``error`` names (None if there is none); ``jump`` is the table's
+    largest step up to ``last`` and ``top`` is k - 1 times its largest
+    binomial valuation there, since a multinomial one is a sum of k - 1
+    nested binomial ones."""
+    jump = binom = 0
     for n in range(n_max + 1):
-        head = table[:n + 1]
-        tn = table[n]
-        shifts = [(tn - a - b) * width for a, b in zip(head, reversed(head))]
-        if min(shifts) < 0:
-            m = next(m for m, s in enumerate(shifts) if s < 0)
-            raise StrongDivisibilityError(
+        # t(m) + t(n-m) for m <= n/2; the first bad m is the smaller of a pair.
+        sums = list(map(add, table[:n // 2 + 1], table[n::-1]))
+        if max(sums) > table[n]:
+            m = next(m for m, s in enumerate(sums) if s > table[n])
+            return n - 1, jump, (k - 1) * binom, StrongDivisibilityError(
                 f"negative valuation for ({n}; ({m}, {n - m})): "
                 f"sequence is not strong divisibility"
             )
-        parts[0].append(1)
-        for lower, upper in zip(parts, parts[1:]):
-            upper.append(sum(map(lshift, lower, shifts)))
-        yield unpack(parts[-1][n], width)
+        binom = max(binom, table[n] - min(sums))
+        if n:
+            jump = max(jump, table[n] - table[n - 1])
+    return n_max, jump, (k - 1) * binom, None
+
+
+def _power(table: list[int], k: int, last: int, jump: int, top: int,
+           error: StrongDivisibilityError | None = None) -> Iterator[ValPoly]:
+    """P_k(n) for n = 0..last, then ``error`` raised if given.
+
+    A composition (m_1, ..., m_k) of n has valuation t(n) - sum t(m_i), so
+    P_k(n) = x^t(n) * [z^n] A(z)^k with A(z) = sum over m <= last of
+    x^(-t(m)) * z^m.  Packing x = 2^w and z = 2^S (Kronecker substitution
+    in two variables) puts term m of A at bit m*S - t(m)*w, and P_k(n) is
+    the band of V+1 slots of w bits starting at bit n*S - t(n)*w of A^k,
+    taken by square-and-multiply and cut after each product at the end of
+    band ``last``.  The bounds, for a chain table with J levels a <= last
+    (repeats included):
+
+    * w = ``slot_width(C(last+k-1, k-1))``: a coefficient of A^j at z^n,
+      j <= k, counts some of the C(n+j-1, j-1) compositions of n.
+    * V = ``top`` = sum over levels of min(k - ceil(k/a), floor(last/a)):
+      per level a valuation gains floor(n/a) - sum floor(m_i/a), the
+      carries out of the parts' residues mod a, which is >= 0 and at most
+      sum (m_i mod a) / a <= k(a-1)/a and floor(n/a).  So every valuation
+      of every partial power lies in [0, V] and no slot is negative.
+    * J = ``jump``: t(n+1) - t(n) counts the levels dividing n+1, at most
+      J, so t(m) <= J*m puts every bit at or above 0.
+    * S = (J+V+1)*w: band n+1 starts at least S - J*w = (V+1)*w bits after
+      band n, so bands do not overlap.  Extending t past ``last`` by J per
+      step keeps it superadditive, so a term whose indices sum past
+      ``last`` lands at or above the band of last+1, above the cut.
+
+    A table from ``_scan`` keeps these: t(0) <= 0 and t is superadditive up
+    to ``last``, J is its largest step and V bounds every valuation.
+    """
+    if last >= 0:
+        width = slot_width(comb(last + k - 1, k - 1))
+        stride = (jump + top + 1) * width
+        band = (top + 1) * width // 8
+        # Every start is a multiple of w, a whole number of bytes.
+        starts = [(m * stride - t * width) // 8 for m, t in enumerate(table[:last + 1])]
+        size = starts[-1] + band
+        packed = bytearray(size)
+        for start in starts:
+            packed[start] = 1
+        base = int.from_bytes(packed, "little")
+        cut = (1 << 8 * size) - 1
+        power = base
+        for bit in bin(k)[3:]:
+            power = power * power & cut
+            if bit == "1":
+                power = power * base & cut
+        raw = power.to_bytes(size, "little")
+        for start in starts:
+            yield unpack(int.from_bytes(raw[start:start + band], "little"), width)
+    if error is not None:
+        raise error

@@ -6,12 +6,18 @@ sequence's own quartic recurrence a(n) = (a(n-1)a(n-3) + a(n-2)^2)/a(n-4);
 test_seqcore regenerates the extension and checks the files verbatim.
 """
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from cnomial import seqcore
-from cnomial.polyarith import ValPoly
+if importlib.util.find_spec("cnomial") is None:
+    # This checkout's package, unless PYTHONPATH or an install already names one.
+    sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
+
+from cnomial import seqcore  # noqa: E402
+from cnomial.polyarith import ValPoly  # noqa: E402
 
 DATA_DIR = Path(__file__).parent / "data"
 EDS14_PATH = DATA_DIR / "eds_a006769_14.txt"

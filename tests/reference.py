@@ -9,6 +9,9 @@
   the big-integer products are checked against.
 * ``compositions``, the recursive definition of the colex order that
   ``oracle.compositions`` enumerates without recursion.
+* ``convolve``, the sweep by convolution over the first part that
+  ``oracle.generating_polys`` replaced with one power, kept as its
+  reference.
 * Tuple-counting polynomials for the plain naturals, the independent
   reference for the digit-matrix advancement identity.  They come from
   digit sums alone: a k-part composition of n has multinomial valuation
@@ -16,11 +19,12 @@
 """
 
 import math
+from operator import lshift
 
 from cnomial import seqcore
 from cnomial.apparition import StrongDivisibilityError, UndeterminedError
 from cnomial.oracle import alpha_chain
-from cnomial.polyarith import PolyVector, ValPoly
+from cnomial.polyarith import PolyVector, ValPoly, slot_width, unpack
 
 
 def rank_of_apparition(spec, m):
@@ -123,6 +127,35 @@ def compositions(total, k):
     for last in range(total + 1):
         for rest in compositions(total - last, k - 1):
             yield rest + (last,)
+
+
+def convolve(table, k, n_max):
+    """P_k(n) for n = 0..n_max from a corial table, by convolution over the
+    first part: P_1(n) = 1 and P_j(n) = sum over m of
+    x^(t(n) - t(m) - t(n-m)) * P_(j-1)(n-m), about k * n_max^2 / 2
+    additions.  Raises StrongDivisibilityError at the first n with a
+    negative binomial valuation, after yielding the answers below it."""
+    # parts[j][n] is P_(j+1)(n) packed into one integer, one slot of
+    # ``width`` bits per exponent; no coefficient of P_j(n) exceeds
+    # C(n+j-1, j-1), so the slots never overflow.  The term of part m is
+    # P_(j-1)(n-m) shifted left by width * (t(n) - t(m) - t(n-m)) bits; that
+    # shift is the same for m and n - m, so P_(j-1)(m) takes it in the sum.
+    width = slot_width(math.comb(n_max + k - 1, k - 1))
+    parts = [[] for _ in range(k)]
+    for n in range(n_max + 1):
+        head = table[:n + 1]
+        tn = table[n]
+        shifts = [(tn - a - b) * width for a, b in zip(head, reversed(head))]
+        if min(shifts) < 0:
+            m = next(m for m, s in enumerate(shifts) if s < 0)
+            raise StrongDivisibilityError(
+                f"negative valuation for ({n}; ({m}, {n - m})): "
+                f"sequence is not strong divisibility"
+            )
+        parts[0].append(1)
+        for lower, upper in zip(parts, parts[1:]):
+            upper.append(sum(map(lshift, lower, shifts)))
+        yield unpack(parts[-1][n], width)
 
 
 _digit_count_cache = {}

@@ -336,8 +336,8 @@ def test_classify_large_prime():
 
 
 def test_verify_wider_sweeps():
-    # Sweeps at larger k, each a fraction of a second with the convolution
-    # oracle and the quotient table.
+    # Sweeps at larger k, each a fraction of a second: the oracle takes one
+    # power of the corial generating function, the engine one column per quotient.
     for seq, p, k, nmax in [("fibonacci", "2", "6", "60"), ("lucas:5,-2", "7", "5", "80"),
                             (f"file:{EDS150_PATH}", "3", "5", "60"),
                             (f"file:{EDS150_PATH}", "5", "4", "60"),
@@ -366,7 +366,7 @@ def test_oracle_work_is_refused_up_front(tmp_path, make_chain_spec, capsys, monk
     spec = make_chain_spec((1,) * 14 + (3, 3), 60)
     path = tmp_path / "unacceptable.txt"
     path.write_text("".join(f"{t}\n" for t in spec.terms))
-    # The oracle convolves there and the matrix side reads the stored chain,
+    # The oracle takes its power there and the matrix side reads the stored chain,
     # each within its bound.
     assert run_cli("verify", "--seq", f"file:{path}", "-p", "2", "-k", "3",
                    "--n-max", "50") == (0, f"verified file:{path} p=2 k=3 for all n <= 50\n")

@@ -233,7 +233,7 @@ def test_terms_prefix_matches_term(lucas52):
 def _sweep_matches_enumeration(spec, p, k, n_max):
     # Enumeration at every n it can afford quickly, and always at n_max.
     table = corial_valuation_table(spec, p, n_max)
-    sweep = list(generating_polys(spec, p, k, n_max, table))
+    sweep = list(generating_polys(spec, p, k, n_max))
     assert len(sweep) == n_max + 1
     for n in range(n_max + 1):
         if n == n_max or comb(n + k - 1, k - 1) <= 2000:
@@ -261,6 +261,48 @@ def test_convolution_matches_enumeration_chains(make_chain_spec, first, factors,
     for f in factors:
         chain.append(chain[-1] * f)
     _sweep_matches_enumeration(make_chain_spec(tuple(chain), 40, p=p), p, k, n_max)
+
+
+def _power_matches_convolution(spec, p, k, n_max):
+    # The table built from the chain and the same table passed in (scanned).
+    table = corial_valuation_table(spec, p, n_max)
+    want = list(reference.convolve(table, k, n_max))
+    assert list(generating_polys(spec, p, k, n_max)) == want, (p, k, n_max)
+    assert list(generating_polys(spec, p, k, n_max, table)) == want, (p, k, n_max)
+
+
+_SPECS = st.one_of(
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(valid_lucas).map(
+        lambda params: ("lucas", params)),
+    st.just(("eds", None)),
+    # Factor 1 repeats a level.
+    st.tuples(st.integers(1, 6), st.lists(st.integers(1, 4), max_size=4)).map(
+        lambda chain: ("chain", chain)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SPECS, st.sampled_from([2, 3, 5, 7]), st.integers(2, 8), st.integers(0, 60))
+def test_power_matches_convolution(eds150, make_chain_spec, drawn, p, k, n_max):
+    kind, params = drawn
+    if kind == "lucas":
+        spec = LucasSpec(*params)
+    elif kind == "eds":
+        spec = eds150
+    else:
+        first, factors = params
+        chain = [first]
+        for f in factors:
+            chain.append(chain[-1] * f)
+        spec = make_chain_spec(tuple(chain), 64, p=p)
+    _power_matches_convolution(spec, p, k, n_max)
+
+
+def test_power_band_reaches_the_valuation_bound(naturals):
+    # Levels 2 and 4 give at most 1 + 1 carries, and C(6, 3) = 20 has
+    # valuation 2: the answer at 6 fills the last slot of its band.
+    _power_matches_convolution(naturals, 2, 2, 6)
+    assert list(generating_polys(naturals, 2, 2, 6))[6] == P({0: 4, 1: 2, 2: 1})
 
 
 def _literal_table(terms, p, n_max):
