@@ -169,7 +169,7 @@ def _require_fixed(spec: SequenceSpec, p: int, bound: int | None, n: int) -> Non
             f"the answer at p={p} only for N < {bound}, not N = {n}")
 
 
-def _carry_free(digits, k: int) -> int:
+def _carry_free(digits: Sequence[int], k: int) -> int:
     """The compositions with no carry at these mixed-radix digits:
     C(t+k-1, k-1) for each digit t."""
     return prod(comb(t + k - 1, k - 1) for t in digits)

@@ -192,7 +192,8 @@ def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int,
     return _power(table, k, *_scan(table, k, n_max))
 
 
-def _scan(table: list[int], k: int, n_max: int):
+def _scan(table: list[int], k: int,
+          n_max: int) -> tuple[int, int, int, StrongDivisibilityError | None]:
     """(last, jump, top, error) for a table passed in: its answers are sound
     up to ``last``, the n before the first negative binomial valuation,
     which ``error`` names (None if there is none); ``jump`` is the table's
