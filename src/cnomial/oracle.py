@@ -28,7 +28,7 @@ import random
 from collections.abc import Iterator
 from itertools import accumulate
 from math import comb, prod
-from operator import add, mul
+from operator import mul
 
 from . import apparition, seqcore
 from .apparition import StrongDivisibilityError
@@ -156,21 +156,14 @@ def brute_generating_poly(spec: SequenceSpec, p: int, k: int, n: int, *,
     return ValPoly(counts)
 
 
-def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int,
-                     table: list[int] | None = None) -> Iterator[ValPoly]:
+def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int) -> Iterator[ValPoly]:
     """The polynomials of ``brute_generating_poly`` for n = 0..n_max, yielded
     in increasing n, read off one power of the corial generating function.
 
-    The work bound is checked, and the corial table (unless given) built,
-    before this returns; the power is taken at the first ``next()``.  A
-    table built here comes from an apparition chain, whose levels (level j
-    is the first n that j levels divide) bound the power's slots.  A table
-    passed in has no chain behind it, so it is scanned per n instead, and
-    StrongDivisibilityError is raised, after the answers below it, at the
-    first n with a negative binomial valuation t(n) - t(m) - t(n-m).  That
-    is the first n at which enumeration finds a negative multinomial
-    valuation: that valuation is a sum of nested binomial ones at indices
-    <= n.
+    The work bound is checked, and the corial table built from its
+    apparition chain, before this returns; the power is taken at the first
+    ``next()``.  The chain's levels (level j is the first n that j levels
+    divide) bound the power's slots.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -182,43 +175,16 @@ def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int,
             f"sweep refused: k * n_max^2 = {steps} "
             f"exceeds the limit of {MAX_SWEEP_STEPS}"
         )
-    if table is None:
-        table = corial_valuation_table(spec, p, n_max)
-        levels: list[int] = []
-        for n in range(1, n_max + 1):
-            levels += [n] * (table[n] - table[n - 1] - len(levels))
-        top = sum(min(k - 1 - (k - 1) // a, n_max // a) for a in levels)
-        return _power(table, k, n_max, len(levels), top)
-    return _power(table, k, *_scan(table, k, n_max))
+    table = corial_valuation_table(spec, p, n_max)
+    levels: list[int] = []
+    for n in range(1, n_max + 1):
+        levels += [n] * (table[n] - table[n - 1] - len(levels))
+    top = sum(min(k - 1 - (k - 1) // a, n_max // a) for a in levels)
+    return _power(table, k, len(levels), top)
 
 
-def _scan(table: list[int], k: int,
-          n_max: int) -> tuple[int, int, int, StrongDivisibilityError | None]:
-    """(last, jump, top, error) for a table passed in: its answers are sound
-    up to ``last``, the n before the first negative binomial valuation,
-    which ``error`` names (None if there is none); ``jump`` is the table's
-    largest step up to ``last`` and ``top`` is k - 1 times its largest
-    binomial valuation there, since a multinomial one is a sum of k - 1
-    nested binomial ones."""
-    jump = binom = 0
-    for n in range(n_max + 1):
-        # t(m) + t(n-m) for m <= n/2; the first bad m is the smaller of a pair.
-        sums = list(map(add, table[:n // 2 + 1], table[n::-1]))
-        if max(sums) > table[n]:
-            m = next(m for m, s in enumerate(sums) if s > table[n])
-            return n - 1, jump, (k - 1) * binom, StrongDivisibilityError(
-                f"negative valuation for ({n}; ({m}, {n - m})): "
-                f"sequence is not strong divisibility"
-            )
-        binom = max(binom, table[n] - min(sums))
-        if n:
-            jump = max(jump, table[n] - table[n - 1])
-    return n_max, jump, (k - 1) * binom, None
-
-
-def _power(table: list[int], k: int, last: int, jump: int, top: int,
-           error: StrongDivisibilityError | None = None) -> Iterator[ValPoly]:
-    """P_k(n) for n = 0..last, then ``error`` raised if given.
+def _power(table: list[int], k: int, jump: int, top: int) -> Iterator[ValPoly]:
+    """P_k(n) for n = 0..last, every n the table covers.
 
     A composition (m_1, ..., m_k) of n has valuation t(n) - sum t(m_i), so
     P_k(n) = x^t(n) * [z^n] A(z)^k with A(z) = sum over m <= last of
@@ -242,29 +208,24 @@ def _power(table: list[int], k: int, last: int, jump: int, top: int,
       band n, so bands do not overlap.  Extending t past ``last`` by J per
       step keeps it superadditive, so a term whose indices sum past
       ``last`` lands at or above the band of last+1, above the cut.
-
-    A table from ``_scan`` keeps these: t(0) <= 0 and t is superadditive up
-    to ``last``, J is its largest step and V bounds every valuation.
     """
-    if last >= 0:
-        width = slot_width(comb(last + k - 1, k - 1))
-        stride = (jump + top + 1) * width
-        band = (top + 1) * width // 8
-        # Every start is a multiple of w, a whole number of bytes.
-        starts = [(m * stride - t * width) // 8 for m, t in enumerate(table[:last + 1])]
-        size = starts[-1] + band
-        packed = bytearray(size)
-        for start in starts:
-            packed[start] = 1
-        base = int.from_bytes(packed, "little")
-        cut = (1 << 8 * size) - 1
-        power = base
-        for bit in bin(k)[3:]:
-            power = power * power & cut
-            if bit == "1":
-                power = power * base & cut
-        raw = power.to_bytes(size, "little")
-        for start in starts:
-            yield unpack(int.from_bytes(raw[start:start + band], "little"), width)
-    if error is not None:
-        raise error
+    last = len(table) - 1
+    width = slot_width(comb(last + k - 1, k - 1))
+    stride = (jump + top + 1) * width
+    band = (top + 1) * width // 8
+    # Every start is a multiple of w, a whole number of bytes.
+    starts = [(m * stride - t * width) // 8 for m, t in enumerate(table)]
+    size = starts[-1] + band
+    packed = bytearray(size)
+    for start in starts:
+        packed[start] = 1
+    base = int.from_bytes(packed, "little")
+    cut = (1 << 8 * size) - 1
+    power = base
+    for bit in bin(k)[3:]:
+        power = power * power & cut
+        if bit == "1":
+            power = power * base & cut
+    raw = power.to_bytes(size, "little")
+    for start in starts:
+        yield unpack(int.from_bytes(raw[start:start + band], "little"), width)

@@ -9,7 +9,7 @@ big-integer arithmetic throughout.
 
 All values are immutable and kept in canonical form (no zero coefficient
 is ever stored), so ``==`` is structural equality and values may be shared
-freely across concurrent workers.
+freely, as the memoized digit matrices are.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@
   ``oracle.compositions`` enumerates without recursion.
 * ``convolve``, the sweep by convolution over the first part that
   ``oracle.generating_polys`` replaced with one power, kept as its
-  reference.
+  reference; it also takes a table with no apparition chain behind it,
+  raising at its first negative binomial valuation.
 * Tuple-counting polynomials for the plain naturals, the independent
   reference for the digit-matrix advancement identity.  They come from
   digit sums alone: a k-part composition of n has multinomial valuation

@@ -219,7 +219,8 @@ def test_force_path_errors(fib, lucas52):
                                        (1, -1, "k must be >= 2, got 1")])
 def test_argument_errors(fib, k, n, err):
     # One N raises at the call; a sweep raises at its first next(), naming
-    # n_max, and k is checked before the index in both.
+    # n_max, and k is checked before the index in both.  The oracle checks
+    # the same arguments with the same messages, its sweep at the call.
     prof = classify(fib, 2)
     with pytest.raises(ValueError) as raised:
         eval_generating_poly(fib, prof, k, n)
@@ -227,6 +228,12 @@ def test_argument_errors(fib, k, n, err):
     sweep = engine.eval_sweep(fib, prof, k, n)
     with pytest.raises(ValueError) as raised:
         next(sweep)
+    assert str(raised.value) == err.replace("n must", "n_max must")
+    with pytest.raises(ValueError) as raised:
+        oracle.brute_generating_poly(fib, 2, k, n)
+    assert str(raised.value) == err
+    with pytest.raises(ValueError) as raised:
+        oracle.generating_polys(fib, 2, k, n)
     assert str(raised.value) == err.replace("n must", "n_max must")
 
 
@@ -253,6 +260,10 @@ def test_linear_representation_fibonacci(fib):
         for n in range(21):
             assert rep.evaluate(n, r) == eval_generating_poly(
                 fib, prof, 2, 6 * n + r).polynomial
+    for r in (-1, 6):
+        with pytest.raises(ValueError) as raised:
+            rep.evaluate(0, r)
+        assert str(raised.value) == f"residue {r} not in [0, 6)"
 
 
 def test_linear_representation_naturals(naturals):
