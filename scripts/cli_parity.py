@@ -43,8 +43,11 @@ ARGVS = [
     # or too short (exit 1).
     *(["verify", "--seq", path, "-p", p, "--n-max", "40"]
       for path in (EDS14, EDS150) for p in ("2", "3", "5", "7", "11")),
-    # A chain cut at depth 2 diverges at n=6 (exit 2); no apparition at all.
+    # A chain cut at depth 2 diverges at n=6 (exit 2), also at the wider
+    # slots of k = 3 and 5; no apparition at all.
     ["verify", *FIB, "--n-max", "20", "--kmax", "2"],
+    ["verify", *FIB, "-k", "3", "--n-max", "20", "--kmax", "2"],
+    ["verify", *FIB, "-k", "5", "--n-max", "20", "--kmax", "2"],
     ["verify", "--seq", "lucas:1,2", "-p", "2", "--n-max", "20"],
     ["classify", "--seq", "lucas:1,2", "-p", "2"],
     # Sweeps refused before any work: k * n_max^2 over the bound.

@@ -12,6 +12,8 @@ numbers every command shares; each ``_cmd_*`` computes and returns two
 renderers, ``(text, payload)``, and ``run`` calls one, printing the
 payload as compact JSON under ``--format json`` and the text otherwise.
 Failures, verify's divergence among them, are raised and mapped to exit codes.
+verify compares the engine's and the oracle's packed answers, integers at
+one slot width, and unpacks them only to print a divergence.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import lru_cache
 
 from . import apparition, engine, initvec, seqcore
 from .apparition import UndeterminedError
+from .polyarith import unpack
 
 
 class _UsageError(Exception):
@@ -153,11 +156,12 @@ def _cmd_verify(args):
     spec = _parse_spec(args)
     profile = apparition.classify(spec, args.p, kmax=args.kmax)
     from . import oracle
-    wants = oracle.generating_polys(spec, args.p, args.k, args.n_max)
-    gots = engine.eval_sweep(spec, profile, args.k, args.n_max)
-    for n, (got, want) in enumerate(zip(gots, wants)):
-        if got.polynomial != want:
-            raise _Divergence(f"divergence at n={n}: matrix {got.polynomial} vs oracle {want}")
+    width, wants = oracle._sweep(spec, args.p, args.k, args.n_max)
+    gots = engine._answers(spec, profile, args.k, 0, args.n_max, "n_max")
+    for n, ((got, _, _), want) in enumerate(zip(gots, wants)):
+        if got != want:
+            raise _Divergence(f"divergence at n={n}: matrix {unpack(got, width)} "
+                              f"vs oracle {unpack(want, width)}")
     return lambda: f"verified {args.seq} p={args.p} k={args.k} for all n <= {args.n_max}", None
 
 

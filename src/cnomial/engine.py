@@ -15,8 +15,10 @@ answer while N < alpha_m*(floor(T/alpha_m) + 1) for T stored terms, and
 past that InsufficientTermsError is raised.
 
 One packed generator answers a single N (its first answer) and a sweep
-(``eval_sweep``) alike.  The exported ``LinearRepresentation`` evaluates
-with generic polynomial arithmetic instead.
+(``eval_sweep``) alike.  It checks each answer on its packed slots, read
+once, and the public calls build their polynomials from those; ``cnomial
+verify`` compares the packed integers with the oracle's.  The exported
+``LinearRepresentation`` evaluates with generic polynomial arithmetic instead.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import comb, prod
 from . import initvec
 from .apparition import PrimeClass, PrimeProfile, _stored_levels
 from .polyarith import (PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul,
-                        slot_width, unpack)
+                        slot_width, slots)
 from .record import Record, _set
 from .seqcore import InsufficientTermsError, SequenceSpec, WorkLimitError
 from .transfer import digit_counts, digit_matrices
@@ -141,12 +143,12 @@ def _terms(u: list[ValPoly], width: int) -> list[tuple[int, int, int]]:
     return [(lam, e * width, c) for lam, entry in enumerate(u) for e, c in entry.items()]
 
 
-def _contract(terms: list[tuple[int, int, int]], column: list[int], width: int) -> ValPoly:
+def _contract(terms: list[tuple[int, int, int]], column: list[int]) -> int:
     total = 0
     for lam, shift, c in terms:
         term = (column[lam] if c == 1 else c * column[lam]) << shift
         total = total + term if total else term
-    return unpack(total, width)
+    return total
 
 
 def _chain(spec: SequenceSpec, profile: PrimeProfile):
@@ -175,28 +177,28 @@ def _carry_free(digits: Sequence[int], k: int) -> int:
     return prod(comb(t + k - 1, k - 1) for t in digits)
 
 
-def _checked(result: QueryResult, k: int, n: int, carry_free: int) -> QueryResult:
+def _check(coefficients: dict[int, int], k: int, n: int, carry_free: int) -> None:
     """Check the coefficient sum, then the constant term against
     ``carry_free``: r's factor from its digits in the chain's radices times
     q's from its base-p digits (or q as one top digit)."""
     expected = comb(n + k - 1, k - 1)
-    total = result.polynomial.eval_at_one()
+    total = sum(coefficients.values())
     if total != expected:
         raise NormalizationError(
             f"normalization broken: coefficients sum to {total}, "
             f"expected C({n}+{k}-1, {k}-1) = {expected}"
         )
-    if result.polynomial.coefficient(0) != carry_free:
+    if coefficients.get(0, 0) != carry_free:
         raise NormalizationError(f"normalization broken: the constant term is "
-                                 f"{result.polynomial.coefficient(0)}, expected "
+                                 f"{coefficients.get(0, 0)}, expected "
                                  f"{carry_free} carry-free compositions")
-    return result
 
 
 def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last: int,
-             name: str) -> Iterator[QueryResult]:
-    """The answers at n = first, ..., last in turn, all at the slot width
-    ``_width(k, last)``; ``name`` names ``last`` in its error.  Reading q's
+             name: str) -> Iterator[tuple[int, dict[int, int], tuple]]:
+    """The checked answers at n = first, ..., last in turn, each as its
+    packed integer at the slot width ``_width(k, last)``, its ``slots`` and
+    its decomposition; ``name`` names ``last`` in its error.  Reading q's
     digits least significant first, v(q) = M(q mod p) * v(q // p) with
     v(0) = e^T, so q's column is one ``_step`` from its parent's once an
     earlier n built that, and otherwise ``_column``'s fold over q's digits
@@ -207,7 +209,6 @@ def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last
     if last < 0:
         raise ValueError(f"{name} must be >= 0, got {last}")
     levels, modulus, tail, bound = _chain(spec, profile)
-    path = _PATHS[profile.prime_class]
     width = _width(k, last)
     shifts = [row * width for row in range(k)]
     columns: dict[int, tuple[tuple[int, ...], list[int]]] = {}     # q -> (digits, column)
@@ -232,15 +233,25 @@ def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last
             lower = [r // a % (b // a) for a, b in zip((1, *levels), levels)]
             rows[r] = _terms(initvec.row(levels, k, r), width), _carry_free(lower, k)
         terms, carry_free = rows[r]
-        poly = _contract(terms, column, width)
-        yield _checked(QueryResult(poly, path, (modulus, q, r, digits)), k, n, carry_free * upper)
+        packed = _contract(terms, column)
+        coefficients = slots(packed, width)
+        _check(coefficients, k, n, carry_free * upper)
+        yield packed, coefficients, (modulus, q, r, digits)
+
+
+def _results(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last: int,
+             name: str) -> Iterator[QueryResult]:
+    """``_answers`` as polynomials, each built from the slots its check read."""
+    path = _PATHS[profile.prime_class]
+    for _, coefficients, decomposition in _answers(spec, profile, k, first, last, name):
+        yield QueryResult(ValPoly.from_slots(coefficients), path, decomposition)
 
 
 def eval_generating_poly(spec: SequenceSpec, profile: PrimeProfile, k: int,
                          n: int) -> QueryResult:
     """Polynomial counting k-part compositions of n by the p-adic valuation
     of their generalized multinomial coefficient."""
-    return next(_answers(spec, profile, k, n, n, "n"))
+    return next(_results(spec, profile, k, n, n, "n"))
 
 
 def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
@@ -248,7 +259,7 @@ def eval_sweep(spec: SequenceSpec, profile: PrimeProfile, k: int,
     """Yield ``eval_generating_poly(spec, profile, k, n)`` for
     n = 0, 1, ..., n_max in turn, with the same paths, decompositions and
     errors, each raised at the n where the per-n call raises it."""
-    yield from _answers(spec, profile, k, 0, n_max, "n_max")
+    yield from _results(spec, profile, k, 0, n_max, "n_max")
 
 
 class LinearRepresentation(Record):

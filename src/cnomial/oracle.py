@@ -12,9 +12,12 @@ valuation t(n) - t(m_1) - ... - t(m_k).  Two evaluators read that table:
   times the coefficient of z^n in A(z)^k, where A(z) is the sum over
   m <= n_max of x^(-t(m)) * z^m.  A is packed into one integer, raised to
   the k-th power by O(log k) big-integer products, and every P_k(n) is
-  read off the result (``_power``).
+  read off the result as one packed integer (``_power``), at the slot
+  width of the engine's sweep: ``cnomial verify`` compares the two packed
+  answers, and ``generating_polys`` unpacks its own.
 
-Both refuse up front (``WorkLimitError``) work above a fixed bound.  None
+Both refuse up front (``WorkLimitError``) work above fixed bounds: the
+enumeration's parts, and the sweep's k * n_max^2 and packed power.  None
 of this touches the transfer matrices or initial vectors it is used to
 check.  Per-tuple valuations, the naturals' component vectors (the
 advancement-identity reference) and the convolution over the first part
@@ -39,6 +42,8 @@ MAX_TUPLES = 10 ** 7
 """Most parts, k per composition, ``brute_generating_poly`` enumerates for one n."""
 MAX_SWEEP_STEPS = 10 ** 8
 """Largest k * n_max^2 that ``generating_polys`` accepts."""
+MAX_SWEEP_BITS = 2 ** 23
+"""Most bits of the packed power ``generating_polys`` accepts."""
 
 
 def compositions(total: int, k: int):
@@ -160,11 +165,18 @@ def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int) -> Iterator
     """The polynomials of ``brute_generating_poly`` for n = 0..n_max, yielded
     in increasing n, read off one power of the corial generating function.
 
-    The work bound is checked, and the corial table built from its
+    The work bounds are checked, and the corial table built from its
     apparition chain, before this returns; the power is taken at the first
-    ``next()``.  The chain's levels (level j is the first n that j levels
-    divide) bound the power's slots.
+    ``next()``.
     """
+    width, bands = _sweep(spec, p, k, n_max)
+    return (unpack(band, width) for band in bands)
+
+
+def _sweep(spec: SequenceSpec, p: int, k: int, n_max: int) -> tuple[int, Iterator[int]]:
+    """The slot width and the lazy ``_power`` of ``generating_polys``.  The
+    chain's levels (level j is the first n that j levels divide) bound the
+    power's slots and so its size, refused above ``MAX_SWEEP_BITS``."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n_max < 0:
@@ -180,11 +192,19 @@ def generating_polys(spec: SequenceSpec, p: int, k: int, n_max: int) -> Iterator
     for n in range(1, n_max + 1):
         levels += [n] * (table[n] - table[n - 1] - len(levels))
     top = sum(min(k - 1 - (k - 1) // a, n_max // a) for a in levels)
-    return _power(table, k, len(levels), top)
+    width = slot_width(comb(n_max + k - 1, k - 1))
+    bits = (n_max + 1) * (len(levels) + top + 1) * width
+    if bits > MAX_SWEEP_BITS:
+        raise WorkLimitError(
+            f"sweep refused: a packed power of {bits} bits "
+            f"exceeds the limit of {MAX_SWEEP_BITS} bits"
+        )
+    return width, _power(table, k, width, len(levels), top)
 
 
-def _power(table: list[int], k: int, jump: int, top: int) -> Iterator[ValPoly]:
-    """P_k(n) for n = 0..last, every n the table covers.
+def _power(table: list[int], k: int, width: int, jump: int, top: int) -> Iterator[int]:
+    """P_k(n) for n = 0..last, every n the table covers, each packed at
+    slot width ``width``.
 
     A composition (m_1, ..., m_k) of n has valuation t(n) - sum t(m_i), so
     P_k(n) = x^t(n) * [z^n] A(z)^k with A(z) = sum over m <= last of
@@ -195,8 +215,8 @@ def _power(table: list[int], k: int, jump: int, top: int) -> Iterator[ValPoly]:
     band ``last``.  The bounds, for a chain table with J levels a <= last
     (repeats included):
 
-    * w = ``slot_width(C(last+k-1, k-1))``: a coefficient of A^j at z^n,
-      j <= k, counts some of the C(n+j-1, j-1) compositions of n.
+    * w = ``width`` = ``slot_width(C(last+k-1, k-1))``: a coefficient of A^j
+      at z^n, j <= k, counts some of the C(n+j-1, j-1) compositions of n.
     * V = ``top`` = sum over levels of min(k - ceil(k/a), floor(last/a)):
       per level a valuation gains floor(n/a) - sum floor(m_i/a), the
       carries out of the parts' residues mod a, which is >= 0 and at most
@@ -210,7 +230,6 @@ def _power(table: list[int], k: int, jump: int, top: int) -> Iterator[ValPoly]:
       ``last`` lands at or above the band of last+1, above the cut.
     """
     last = len(table) - 1
-    width = slot_width(comb(last + k - 1, k - 1))
     stride = (jump + top + 1) * width
     band = (top + 1) * width // 8
     # Every start is a multiple of w, a whole number of bytes.
@@ -228,4 +247,4 @@ def _power(table: list[int], k: int, jump: int, top: int) -> Iterator[ValPoly]:
             power = power * base & cut
     raw = power.to_bytes(size, "little")
     for start in starts:
-        yield unpack(int.from_bytes(raw[start:start + band], "little"), width)
+        yield int.from_bytes(raw[start:start + band], "little")

@@ -47,6 +47,14 @@ class ValPoly:
     def one(cls) -> "ValPoly":
         return cls({0: 1})
 
+    @classmethod
+    def from_slots(cls, coefficients: dict[int, int]) -> "ValPoly":
+        """The polynomial with the positive coefficients ``slots`` reads, by
+        exponent; it keeps the dict."""
+        poly = cls.__new__(cls)
+        poly._coeffs = coefficients
+        return poly
+
     def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
@@ -179,17 +187,20 @@ def slot_width(bound: int) -> int:
     return -(-bound.bit_length() // 8) * 8
 
 
-def unpack(packed: int, width: int) -> ValPoly:
-    """The polynomial packed into one integer with the coefficient of x^i in
-    bits [i*width, (i+1)*width) (Kronecker substitution); width is a
-    multiple of 8."""
+def slots(packed: int, width: int) -> dict[int, int]:
+    """The nonzero coefficients, by exponent, of the polynomial packed into
+    one integer with the coefficient of x^i in bits [i*width, (i+1)*width)
+    (Kronecker substitution); width is a multiple of 8."""
     size = width // 8
     raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
     # Slots are unsigned, so dropping zeros makes the polynomial canonical.
-    poly = ValPoly.__new__(ValPoly)
-    poly._coeffs = {i: c for i, j in enumerate(range(0, len(raw), size))
-                    if (c := int.from_bytes(raw[j:j + size], "little"))}
-    return poly
+    return {i: c for i, j in enumerate(range(0, len(raw), size))
+            if (c := int.from_bytes(raw[j:j + size], "little"))}
+
+
+def unpack(packed: int, width: int) -> ValPoly:
+    """The polynomial ``slots`` reads from a packed integer."""
+    return ValPoly.from_slots(slots(packed, width))
 
 
 def mat_vec_mul(m: PolyMatrix, v: PolyVector) -> PolyVector:

@@ -10,7 +10,7 @@ import pytest
 
 from cnomial import cli, engine, oracle, transfer
 from cnomial.apparition import classify
-from cnomial.polyarith import PolyMatrix, PolyVector
+from cnomial.polyarith import PolyMatrix, PolyVector, ValPoly
 from cnomial.seqcore import WorkLimitError, parse_selector, terms_prefix
 
 from conftest import EDS14_PATH, EDS150_PATH, poly_from_json
@@ -306,6 +306,85 @@ def test_normalization_failure_exit_code(monkeypatch, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: normalization broken: coefficients sum to ")
     assert "Traceback" not in err
+
+
+def _bumped_column(p, k, digits, width, real=engine._column):
+    return [v + 1 for v in real(p, k, digits, width)]
+
+
+def _unshifted_step(rows, column, shifts, real=engine._step):
+    return real(rows, column, [0 if row == 1 else s for row, s in enumerate(shifts)])
+
+
+@pytest.mark.parametrize("name, mutant, check", [
+    ("_column", _bumped_column, "coefficients sum to"),
+    ("_step", _unshifted_step, "the constant term is"),
+])
+def test_verify_runs_both_engine_checks(monkeypatch, capsys, name, mutant, check):
+    # At p = 3 the bumped column breaks the coefficient sum at n = 0, and
+    # the lost shift keeps it and breaks the constant term at n = 4, where
+    # its answers first go wrong.  verify stops with eval_sweep's error at
+    # the n where eval_sweep raises it, before drawing that n's oracle answer.
+    fib = parse_selector("fibonacci")
+    monkeypatch.setattr(engine, name, mutant)
+    answered = 0
+    with pytest.raises(engine.NormalizationError, match=check) as raised:
+        for _ in engine.eval_sweep(fib, classify(fib, 3), 3, 60):
+            answered += 1
+    real_power, drawn = oracle._power, []
+
+    def counted(*args):
+        for band in real_power(*args):
+            drawn.append(band)
+            yield band
+
+    monkeypatch.setattr(oracle, "_power", counted)
+    code, out = run_cli("verify", "--seq", "fibonacci", "-p", "3", "-k", "3", "--n-max", "60")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
+    assert len(drawn) == answered
+
+
+def test_verify_builds_no_polynomial_per_n(monkeypatch):
+    # Counted rather than timed: a passing verify compares packed integers,
+    # so the polynomials it builds do not depend on n_max.  Every ValPoly is
+    # built by __init__ or by from_slots, which unpack calls.
+    init, from_slots = ValPoly.__init__, ValPoly.from_slots.__func__
+    built = [0]
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted_from_slots(cls, coefficients):
+        built[0] += 1
+        return from_slots(cls, coefficients)
+
+    monkeypatch.setattr(ValPoly, "__init__", counted_init)
+    monkeypatch.setattr(ValPoly, "from_slots", classmethod(counted_from_slots))
+    counts = []
+    for n_max in ("100", "200"):
+        built[0] = 0
+        code, _ = run_cli("verify", "--seq", "fibonacci", "-p", "2", "-k", "3", "--n-max", n_max)
+        assert code == 0
+        counts.append(built[0])
+    assert counts[0] == counts[1]
+
+
+def test_oversized_power_is_refused_before_any_product(monkeypatch, capsys):
+    # k * n_max^2 = 10^7 is a tenth of MAX_SWEEP_STEPS, but this sweep's
+    # packed power would have about 17.6 million bits: its table is built and
+    # its power never started.
+    def no_power(*args):
+        raise AssertionError("oracle power started")
+
+    monkeypatch.setattr(oracle, "_power", no_power)
+    assert run_cli("verify", "--seq", "fibonacci", "-p", "2", "-k", "40",
+                   "--n-max", "500") == (1, "")
+    assert capsys.readouterr().err == ("error: sweep refused: a packed power of 17635200 "
+                                       "bits exceeds the limit of 8388608 bits\n")
+    with pytest.raises(WorkLimitError, match="packed power"):
+        oracle.generating_polys(parse_selector("fibonacci"), 2, 40, 500)
 
 
 def test_huge_listings_refused_before_any_work(monkeypatch, capsys):

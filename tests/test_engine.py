@@ -20,6 +20,7 @@ from cnomial.polyarith import PolyVector, ValPoly, mat_vec_mul, slot_width, unpa
 from cnomial.seqcore import InsufficientTermsError, LucasSpec
 from cnomial.transfer import digit_matrices, multinomial_matrix
 
+from conftest import valid_lucas
 from reference import component_vector, digit_sum
 
 P = ValPoly
@@ -392,6 +393,31 @@ def test_packed_loop_builds_no_polynomial_per_digit(fib, monkeypatch):
         eval_generating_poly(fib, prof, 5, n)
         counts.append(built[0])
     assert counts[0] == counts[1]
+
+
+_SWEPT = st.one_of(
+    st.tuples(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(valid_lucas),
+              st.sampled_from([2, 3, 5, 7, 11, 13])),
+    st.tuples(st.none(), st.sampled_from([2, 3, 5, 7])),    # the EDS file's classified primes
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SWEPT, st.integers(2, 6), st.integers(0, 60))
+def test_engine_and_oracle_pack_at_one_width(eds150, drawn, k, n_max):
+    # verify compares the engine's packed answers with the oracle's bands as
+    # integers, which compares their polynomials only at one slot width.
+    params, p = drawn
+    spec = eds150 if params is None else LucasSpec(*params)
+    prof = classify(spec, p)
+    width, bands = oracle._sweep(spec, p, k, n_max)
+    assert width == engine._width(k, n_max)
+    answers = [packed for packed, _, _ in engine._answers(spec, prof, k, 0, n_max, "n_max")]
+    assert [unpack(a, width) for a in answers] == [
+        res.polynomial for res in engine.eval_sweep(spec, prof, k, n_max)]
+    bands = list(bands)
+    assert [unpack(b, width) for b in bands] == list(oracle.generating_polys(spec, p, k, n_max))
+    assert answers == bands
 
 
 def test_normalization_failure_is_typed(lucas52, monkeypatch):
