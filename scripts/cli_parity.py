@@ -50,6 +50,18 @@ ARGVS = [
     ["verify", *FIB, "-k", "5", "--n-max", "20", "--kmax", "2"],
     ["verify", "--seq", "lucas:1,2", "-p", "2", "--n-max", "20"],
     ["classify", "--seq", "lucas:1,2", "-p", "2"],
+    # Apparition chains: deep kmax, a long run of ratios 1 (e_1 = 16), a
+    # chain extended past an explicit kmax, p | D, and a 31-digit p | D.
+    ["classify", *FIB, "--kmax", "300"],
+    ["classify", "--seq", "lucas:1,-65535", "-p", "2"],
+    ["classify", "--seq", "lucas:7,1", "-p", "2", "--kmax", "4"],
+    ["classify", "--seq", "naturals", "-p", "3", "--kmax", "12"],
+    ["classify", "--seq", "naturals", "-p", "2", "--format", "json"],
+    ["classify", "--seq", "lucas:5,-2", "-p", "7", "--kmax", "12", "--format", "json"],
+    ["classify", "--seq", "lucas:3,-1", "-p", "13", "--kmax", "9"],
+    ["classify", "--seq", "lucas:1,-250000000000000000000000000014",
+     "-p", "1000000000000000000000000000057"],
+    ["verify", "--seq", "lucas:7,1", "-p", "2", "-k", "3", "--n-max", "100"],
     # Sweeps refused before any work: k * n_max^2 over the bound.
     ["verify", *FIB, "-k", "3", "--n-max", "1000000"],
     ["verify", *FIB, "-k", "2", "--n-max", "7072"],

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from enum import Enum
+from itertools import accumulate, chain, repeat
 from math import isqrt
+from operator import floordiv, mul
 
 from . import seqcore
 from .record import Record, _set
@@ -268,43 +270,41 @@ def _stored_levels(spec: seqcore.FileBackedSpec, p: int) -> list[int]:
         pk *= p
 
 
-def _apparition_chain(spec: SequenceSpec, p: int) -> Iterator[int]:
-    """Yield alpha(p), alpha(p^2), ... for the prime p, for as long as the
-    caller pulls.
+def _lucas_valuation(spec: seqcore.LucasSpec, n: int, p: int) -> int:
+    """v_p(U_n) from U_n mod p^B, B = 2, 4, 8, ... until it is nonzero, as
+    it becomes because a LucasSpec has no zero term."""
+    B = 2
+    while (r := seqcore._lucas_jump(spec, n, p ** B)[0]) == 0:
+        B *= 2
+    return valuation(r, p)
 
-    Yields nothing when p divides no term.  Stored terms yield the levels
-    ``_stored_levels`` reads off them, all checked before the first is
-    yielded, and end there; a file in which p divides no stored term
-    raises UndeterminedError instead.  Level 1 of a Lucas sequence is
-    ``_lucas_rank_of_prime``.  At level k >= 2 with a = alpha(p^(k-1)),
-    strong divisibility makes alpha(p^k) a multiple of a, and the law of
-    repetition (p^(k-1) | C_a implies p^k | C_(p*a)) pins it to a or p*a,
-    so two probes decide the level.
+
+def _apparition_ratios(spec: SequenceSpec, p: int) -> Iterator[int]:
+    """Yield a_1 = alpha(p), a_j = alpha(p^j)/alpha(p^(j-1)) for the prime
+    p, as long as the caller pulls, or nothing when p divides no term.
+
+    Stored terms yield the ratios of ``_stored_levels``, all checked before
+    the first is yielded, and end there; a file in which p divides no
+    stored term raises UndeterminedError instead.  For a Lucas sequence,
+    p ∤ Q, a = alpha(p) and D = P^2 - 4Q, Sanna (2016, "The p-adic
+    valuation of Lucas sequences", Theorem 1.1; Lengyel 1995, "The order of
+    the Fibonacci and Lucas numbers", for the Fibonacci numbers) gives
+    v_p(U_n) = 0 if a ∤ n, else v_p(U_a) if p ∤ n, else
+    v_p(n) + v_p(U_p) - 1 if p | D (then a = p) and
+    v_p(n) + v_p(U_(p*a)) - 1 if p ∤ D (then p ∤ a).  So with
+    e_1 = v_p(U_a) and e_2 = v_p(U_(p*a)) the ratios are a, e_1 - 1 ones,
+    p, e_2 - e_1 - 1 ones, then p forever.  For odd p, e_2 = e_1 + 1; at
+    p = 2 the gap can be wider: Fibonacci has e_1 = 1 and e_2 = 3.
     """
     if isinstance(spec, seqcore.FileBackedSpec):
         levels = _stored_levels(spec, p)
         if not levels:
             raise UndeterminedError(f"undetermined within available terms: {p} divides "
                                     f"none of the {len(spec.terms)} stored terms")
-        yield from levels
-        return
-    a = _lucas_rank_of_prime(spec, p)
-    if a is None:
-        return
-    yield a
-    pk = p
-    while True:
-        pk *= p
-        for n in (a, p * a):
-            if seqcore.term_mod(spec, n, pk) == 0:
-                a = n
-                break
-        else:
-            raise StrongDivisibilityError(
-                f"strong divisibility violated: {pk} divides neither C_{a} "
-                f"nor C_{p * a}"
-            )
-        yield a
+        yield from map(floordiv, levels, [1, *levels])
+    elif (a := _lucas_rank_of_prime(spec, p)) is not None:
+        e1, e2 = (_lucas_valuation(spec, n, p) for n in (a, p * a))
+        yield from chain((a,), repeat(1, e1 - 1), (p,), repeat(1, e2 - e1 - 1), repeat(p))
 
 
 def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None) -> PrimeProfile:
@@ -322,43 +322,43 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None) -> PrimePro
     Nothing is found by scanning.  Finding alpha(p) for a Lucas sequence
     takes one jump when p | D = P^2 - 4Q (the naturals at odd p), and
     otherwise O(sqrt(p)) trial divisions and a few jumps; each further
-    level then probes two indices, so the cost does not grow with
-    alpha(p^k).  Stored terms cost one pass per level over the stored
+    ratio then comes from two valuations, so the cost does not grow with
+    the depth.  Stored terms cost one pass per level over the stored
     multiples of the previous rank, which also checks every level the file
     holds against the terms.
 
     A file-backed sequence that runs out of terms mid-chain keeps whatever
     evidence was gathered; if not even one stabilized ratio was confirmed
     the classification is refused with UndeterminedError.  A composite p
-    raises ValueError.
+    raises ValueError, a kmax above MAX_ENTRIES WorkLimitError.
     """
     if kmax is not None and kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
+    seqcore.check_entries(kmax or 0, "ratio list")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    levels = _apparition_chain(spec, p)
-    alpha = next(levels, None)
+    source = _apparition_ratios(spec, p)
+    alpha = next(source, None)
     if alpha is None:
         return PrimeProfile(p=p, prime_class=PrimeClass.NO_APPARITION,
                             alpha_powers=(), s=None, ratios=(), evidence_kmax=0)
-    chain, ratios = [alpha], [alpha]
+    ratios = [alpha]
     s_cand = 1
     exhausted = False
     cap = kmax if kmax is not None else DEFAULT_KMAX_CAP
-    # Every level of a Lucas sequence is computable, and by the law of
-    # repetition its ratios reach p, so a chain still ending in a deviation
+    # Every ratio of a Lucas sequence is computable, and by the law of
+    # repetition the ratios reach p, so a chain still ending in a deviation
     # at the cap is extended instead of being called unacceptable.
     computable = not isinstance(spec, seqcore.FileBackedSpec)
-    while len(chain) < cap or (computable and len(ratios) == s_cand):
+    while len(ratios) < cap or (computable and len(ratios) == s_cand):
         if kmax is None and len(ratios) - s_cand >= DEFAULT_TAIL:
             break
-        nxt = next(levels, None)
-        if nxt is None:
+        ratio = next(source, None)
+        if ratio is None:
             exhausted = True
             break
-        ratios.append(nxt // chain[-1])
-        chain.append(nxt)
-        if ratios[-1] != p:
+        ratios.append(ratio)
+        if ratio != p:
             s_cand = len(ratios)
 
     evidence = len(ratios)
@@ -369,10 +369,10 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None) -> PrimePro
                 f"a_{evidence} != {p} and no later evidence is available"
             )
         return PrimeProfile(p=p, prime_class=PrimeClass.UNACCEPTABLE,
-                            alpha_powers=tuple(chain), s=None,
+                            alpha_powers=tuple(accumulate(ratios, mul)), s=None,
                             ratios=tuple(ratios), evidence_kmax=evidence)
     s = s_cand
     ideal = all(r == 1 for r in ratios[1:s])
     return PrimeProfile(p=p, prime_class=PrimeClass.IDEAL if ideal else PrimeClass.ACCEPTABLE,
-                        alpha_powers=tuple(chain[:s]), s=s, ratios=tuple(ratios),
+                        alpha_powers=tuple(accumulate(ratios[:s], mul)), s=s, ratios=tuple(ratios),
                         evidence_kmax=evidence)

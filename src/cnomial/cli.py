@@ -179,7 +179,7 @@ def _cmd_vectors(args):
     initvec.check_vector_class(profile)
     modulus = profile.stable_modulus
     if args.r is None:
-        engine.check_entries(modulus * args.k, "vectors")
+        seqcore.check_entries(modulus * args.k, "vectors")
     residues = [args.r] if args.r is not None else list(range(modulus))
     rows = {}
     for r in residues:
@@ -200,7 +200,7 @@ def _cmd_matrices(args):
     if args.d is not None and not 0 <= args.d < args.p:
         raise _UsageError(f"digit {args.d} not in [0, {args.p})")
     if args.d is None:
-        engine.check_entries(args.p * args.k ** 2, "matrices")
+        seqcore.check_entries(args.p * args.k ** 2, "matrices")
     digits = [args.d] if args.d is not None else list(range(args.p))
     from .transfer import multinomial_matrix
     mats = {d: multinomial_matrix(args.p, args.k, d) for d in digits}

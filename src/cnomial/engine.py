@@ -32,12 +32,8 @@ from .apparition import PrimeClass, PrimeProfile, _stored_levels
 from .polyarith import (PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul,
                         slot_width, slots)
 from .record import Record, _set
-from .seqcore import InsufficientTermsError, SequenceSpec, WorkLimitError
+from .seqcore import InsufficientTermsError, SequenceSpec, check_entries
 from .transfer import digit_counts, digit_matrices
-
-
-MAX_ENTRIES = 2 * 10 ** 5
-"""Most polynomial entries a linear representation or a listing may hold."""
 
 
 class NormalizationError(ArithmeticError):
@@ -307,12 +303,6 @@ class LinearRepresentation(Record):
             },
             "final_vector": [e.to_json_dict() for e in self.final_vector.entries],
         }
-
-
-def check_entries(entries: int, what: str) -> None:
-    """Refuse, before any is built, more than MAX_ENTRIES entries."""
-    if entries > MAX_ENTRIES:
-        raise WorkLimitError(f"{what} refused: {entries} entries exceed the limit of {MAX_ENTRIES}")
 
 
 def linear_representation(profile: PrimeProfile, k: int,

@@ -25,6 +25,16 @@ class WorkLimitError(ValueError):
     """A request exceeds its up-front work bound and was refused."""
 
 
+MAX_ENTRIES = 2 * 10 ** 5
+"""Most entries a linear representation, a listing or a ratio list may hold."""
+
+
+def check_entries(entries: int, what: str) -> None:
+    """Refuse, before any is built, more than MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise WorkLimitError(f"{what} refused: {entries} entries exceed the limit of {MAX_ENTRIES}")
+
+
 class LucasSpec(Record):
     """Second-order recurrence U_1 = 1, U_2 = P, U_n = P*U_{n-1} - Q*U_{n-2}.
 

@@ -1,9 +1,11 @@
 """References used only by the tests.
 
 * Plain scans: ``rank_of_apparition`` walks C_1, C_2, ... mod m, the
-  reference the scan-free chain walker behind ``classify`` is held
-  against, and ``validate_strong_divisibility`` checks the gcd law
-  pairwise.
+  reference the scan-free ratios behind ``classify`` are held against, and
+  ``validate_strong_divisibility`` checks the gcd law pairwise.
+* ``lucas_levels``, which decides each level of a Lucas sequence's
+  apparition chain with two probes: the reference for the closed form
+  behind ``classify`` at depths the scan cannot reach.
 * Per-tuple valuations from the apparition chain: ``corial_valuation`` and
   ``cmultinomial_valuation``, which ``oracle.corial_valuation_table`` and
   the big-integer products are checked against.
@@ -23,7 +25,7 @@ import math
 from operator import lshift
 
 from cnomial import seqcore
-from cnomial.apparition import StrongDivisibilityError, UndeterminedError
+from cnomial.apparition import StrongDivisibilityError, UndeterminedError, _lucas_rank_of_prime
 from cnomial.oracle import alpha_chain
 from cnomial.polyarith import PolyVector, ValPoly, slot_width, unpack
 
@@ -63,6 +65,34 @@ def rank_of_apparition(spec, m):
         f"undetermined within available terms: {m} divides none of the "
         f"{len(spec.terms)} stored terms"
     )
+
+
+def lucas_levels(spec, p):
+    """Yield alpha(p), alpha(p^2), ... of a Lucas sequence for the prime p,
+    for as long as the caller pulls, or nothing when p divides no term.
+
+    Level 1 is ``_lucas_rank_of_prime``.  At level k >= 2 with
+    a = alpha(p^(k-1)), strong divisibility makes alpha(p^k) a multiple of
+    a, and the law of repetition (p^(k-1) | C_a implies p^k | C_(p*a)) pins
+    it to a or p*a, so two probes at modulus p^k decide the level.
+    """
+    a = _lucas_rank_of_prime(spec, p)
+    if a is None:
+        return
+    yield a
+    pk = p
+    while True:
+        pk *= p
+        for n in (a, p * a):
+            if seqcore.term_mod(spec, n, pk) == 0:
+                a = n
+                break
+        else:
+            raise StrongDivisibilityError(
+                f"strong divisibility violated: {pk} divides neither C_{a} "
+                f"nor C_{p * a}"
+            )
+        yield a
 
 
 def validate_strong_divisibility(spec, bound):

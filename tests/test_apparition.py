@@ -1,7 +1,9 @@
+from itertools import islice
 from math import isqrt
+from operator import floordiv
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cnomial import apparition, oracle, seqcore
@@ -17,10 +19,10 @@ from cnomial.apparition import (
     is_prime,
     valuation,
 )
-from cnomial.seqcore import FileBackedSpec, LucasSpec
+from cnomial.seqcore import MAX_ENTRIES, FileBackedSpec, LucasSpec, WorkLimitError
 
 from conftest import valid_lucas
-from reference import rank_of_apparition
+from reference import lucas_levels, rank_of_apparition
 
 
 def classify_lucas_fast(P, Q, p):
@@ -229,6 +231,11 @@ def test_classify_refuses_a_stored_multiple_without_p(make_chain_spec):
 def test_classify_kmax_validation(fib, naturals):
     with pytest.raises(ValueError):
         classify(fib, 2, kmax=1)
+    # The ratios come cheap, so a kmax past the listing bound would fill
+    # memory: it is refused before any work.
+    assert classify(fib, 2, kmax=MAX_ENTRIES).evidence_kmax == MAX_ENTRIES
+    with pytest.raises(WorkLimitError, match=f"{MAX_ENTRIES + 1} entries exceed the limit of {MAX_ENTRIES}$"):
+        classify(fib, 2, kmax=MAX_ENTRIES + 1)
     # p itself is validated too: a composite p is refused, not classified.
     for spec in (fib, naturals):
         for p in (4, 9, 15):
@@ -303,9 +310,9 @@ def test_alpha_chain_bounded(fib, eds150):
     assert oracle.alpha_chain(LucasSpec(2, 1), 3, 100) == [3, 9, 27, 81]
 
 
-# The chain walker behind classify decides each level past the first from a
-# couple of probes.  These tests hold it against rank_of_apparition's plain
-# scan, level by level, wherever the scan is cheap enough to run.
+# classify reads a Lucas chain's ratios past the first from two valuations.
+# These tests hold its levels against rank_of_apparition's plain scan, level
+# by level, wherever the scan is cheap enough to run.
 
 SCAN_BOUND = 10_000
 PRIMES_TO_200 = [p for p in range(2, 201) if is_prime(p)]
@@ -345,29 +352,54 @@ def test_chain_walker_matches_scan_grid(name, p, kmax, request, make_chain_spec)
     assert_levels_match_scan(spec, p, classify(spec, p, kmax=kmax))
 
 
-def test_classify_cost_in_probes(fib, monkeypatch):
-    # Counted rather than timed: no scan at all (alpha(p) comes from the
-    # divisor check on p + 1), then at most two O(log n) jumps per further
-    # chain level.
-    p = 10007
-    pulled, jumps = [0], [0]
-    residues, term_mod = seqcore.residues, seqcore.term_mod
+@pytest.fixture
+def counted(monkeypatch):
+    """Terms pulled from seqcore.residues and calls of seqcore._lucas_jump,
+    which term_mod and every probe of a Lucas sequence go through."""
+    counts = {"pulled": 0, "jumps": 0}
+    residues, jump = seqcore.residues, seqcore._lucas_jump
 
     def counted_residues(spec, m):
         for u in residues(spec, m):
-            pulled[0] += 1
+            counts["pulled"] += 1
             yield u
 
-    def counted_term_mod(spec, n, m):
-        jumps[0] += 1
-        return term_mod(spec, n, m)
+    def counted_jump(spec, n, m):
+        counts["jumps"] += 1
+        return jump(spec, n, m)
 
     monkeypatch.setattr(seqcore, "residues", counted_residues)
-    monkeypatch.setattr(seqcore, "term_mod", counted_term_mod)
+    monkeypatch.setattr(seqcore, "_lucas_jump", counted_jump)
+    return counts
+
+
+def valuation_jumps(prof):
+    # Past alpha(p), a Lucas classification makes one jump per bit of
+    # e_1 = v_p(U_alpha(p)) and of e_2 = v_p(U_(p*alpha(p))), which sit where
+    # the ratios first and second equal p.
+    e1 = prof.ratios.index(prof.p, 1)
+    return e1.bit_length() + prof.ratios.index(prof.p, e1 + 1).bit_length()
+
+
+def test_classify_cost_in_probes(fib, counted):
+    # Counted rather than timed: no scan at all (alpha(p) comes from the
+    # divisor check on p + 1), then one O(log n) jump per bit of e_1 and
+    # of e_2, however deep the chain goes.
+    p = 10007
     prof = classify(fib, p)
     assert prof.prime_class is PrimeClass.IDEAL
-    assert pulled[0] == 0
-    assert jumps[0] <= 2 * (len(prof.ratios) - 1)
+    assert counted["pulled"] == 0
+    assert counted["jumps"] <= 1 + (p + 1).bit_length() + valuation_jumps(prof)
+
+
+def test_classify_cost_does_not_grow_with_kmax(fib, counted):
+    # Every ratio past e_2 is p, so a deeper kmax costs no further jump.
+    jumps = []
+    for kmax in (10, 100, 200_000):
+        counted["jumps"] = 0
+        assert classify(fib, 2, kmax=kmax).evidence_kmax == kmax
+        jumps.append(counted["jumps"])
+        assert jumps[-1] == jumps[0], jumps
 
 
 PRIMES_TO_2000 = [p for p in range(2, 2001) if is_prime(p)]
@@ -397,15 +429,46 @@ def test_lucas_rank_when_p_divides_discriminant():
     assert _lucas_rank_of_prime(LucasSpec(1, -1), 5) == 5   # Fibonacci, D = 5
 
 
+def discriminant_multiple(p, P, t):
+    # Q = P^2/4 mod p puts p | D = P^2 - 4Q; at p = 2 that needs P even,
+    # and Q = 1 + 2t is odd.
+    return (1 if p == 2 else P * P * pow(4, -1, p) % p) + p * t
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(PRIMES_TO_2000), st.integers(-50, 50), st.integers(-3, 3))
 def test_lucas_rank_when_p_divides_discriminant_matches_scan(p, P, t):
-    # Q = P^2/4 mod p puts p | D, and p must not divide Q; at p = 2 that
-    # needs P even and Q odd.
-    Q = (1 if p == 2 else P * P * pow(4, -1, p) % p) + p * t
+    # p must not divide Q, and at p = 2 P must be even.
+    Q = discriminant_multiple(p, P, t)
     assume((P * P - 4 * Q) % p == 0 and Q % p != 0 and valid_lucas((P, Q)))
     spec = LucasSpec(P, Q)
     assert _lucas_rank_of_prime(spec, p) == rank_of_apparition(spec, p), (P, Q, p)
+
+
+@st.composite
+def lucas_cases(draw):
+    # A Lucas pair and a prime: any pair at p = 2 or at an odd p, a pair
+    # with p | D (Q = P^2/4 mod p), or one with p | Q.
+    p = draw(st.one_of(st.just(2), st.sampled_from(PRIMES_TO_200[1:])))
+    P, t = draw(st.integers(-60, 60)), draw(st.integers(-3, 3))
+    Q = draw(st.one_of(st.integers(-60, 60), st.just(discriminant_multiple(p, P, t)),
+                       st.just(p * t)))
+    assume(valid_lucas((P, Q)))
+    return (P, Q), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(lucas_cases())
+@example(((1, -65535), 2))      # e_1 = 16: seventeen ratios at kmax = 12
+@example(((2, 1), 3))           # the naturals: p | D = 0
+def test_closed_form_matches_two_probe_walker(case):
+    params, p = case
+    spec = LucasSpec(*params)
+    prof = classify(spec, p, kmax=12)
+    levels = list(islice(lucas_levels(spec, p), len(prof.ratios)))
+    assert prof.ratios == tuple(map(floordiv, levels, [1, *levels])), case
+    assert prof.alpha_powers == tuple(levels[:prof.s]), case
+    assert len(prof.ratios) >= 12 or spec.Q % p == 0, case
 
 
 def refuse_factoring(n):
@@ -425,59 +488,33 @@ def test_classify_huge_prime_dividing_discriminant(monkeypatch):
     ((1, -1), 10007, 10008), ((1, -1), 1000000007, 1000000008),   # (5/p) = -1
     ((1, -1), 2, 3), ((1, 2), 2, None),
 ], ids=["10007", "1000000007", "fibonacci-2", "lucas_1_2-2"])
-def test_classify_lucas_level_one_cost(monkeypatch, params, p, alpha):
+def test_classify_lucas_level_one_cost(counted, params, p, alpha):
     # Counted rather than timed: for a Lucas sequence, level 1 pulls no
     # term from a scan.  At p | Q it makes no jump; otherwise it makes one
     # jump to n = p - (D/p) (n = 6 at p = 2) plus at most one per prime
-    # factor of n.  Each further level makes at most two.
-    pulled, jumps = [0], [0]
-    residues, jump = seqcore.residues, seqcore._lucas_jump
-
-    def counted_residues(spec, m):
-        for u in residues(spec, m):
-            pulled[0] += 1
-            yield u
-
-    def counted_jump(spec, n, m):
-        jumps[0] += 1
-        return jump(spec, n, m)
-
-    monkeypatch.setattr(seqcore, "residues", counted_residues)
-    monkeypatch.setattr(seqcore, "_lucas_jump", counted_jump)
+    # factor of n.  The further ratios take one jump per bit of e_1 and
+    # of e_2.
     prof = classify(LucasSpec(*params), p)
     assert prof.prime_class is classify_lucas_fast(*params, p)
-    assert pulled[0] == 0
+    assert counted["pulled"] == 0
     if alpha is None:
-        assert (prof.alpha_powers, jumps[0]) == ((), 0)
+        assert (prof.alpha_powers, counted["jumps"]) == ((), 0)
     else:
         assert prof.alpha_powers[0] == alpha
         n = 6 if p == 2 else p + 1
-        assert jumps[0] <= 1 + n.bit_length() + 2 * (len(prof.ratios) - 1)
+        assert counted["jumps"] <= 1 + n.bit_length() + valuation_jumps(prof)
 
 
-def test_classify_naturals_level_one_cost(naturals, monkeypatch):
-    # alpha(p) = p for the naturals (p | D = 0): level 1 pulls no term and
-    # factors nothing, and each further level makes at most two jumps.
-    pulled, jumps = [0], [0]
-    residues, term_mod = seqcore.residues, seqcore.term_mod
-
-    def counted_residues(spec, m):
-        for u in residues(spec, m):
-            pulled[0] += 1
-            yield u
-
-    def counted_term_mod(spec, n, m):
-        jumps[0] += 1
-        return term_mod(spec, n, m)
-
-    monkeypatch.setattr(seqcore, "residues", counted_residues)
-    monkeypatch.setattr(seqcore, "term_mod", counted_term_mod)
+def test_classify_naturals_level_one_cost(naturals, counted, monkeypatch):
+    # alpha(p) = p for the naturals (p | D = 0): level 1 pulls no term,
+    # factors nothing and makes one jump, and the further ratios take one
+    # jump per bit of e_1 = 1 and of e_2 = 2.
     monkeypatch.setattr(apparition, "_prime_factors", refuse_factoring)
     p = 1000000007
     prof = classify(naturals, p)
     assert (prof.prime_class, prof.alpha_powers) == (PrimeClass.IDEAL, (p,))
-    assert pulled[0] == 0
-    assert jumps[0] <= 2 * (len(prof.ratios) - 1)
+    assert counted["pulled"] == 0
+    assert counted["jumps"] <= 1 + valuation_jumps(prof)
 
 
 def test_lucas_chain_extended_past_the_cap():

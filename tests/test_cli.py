@@ -403,6 +403,10 @@ def test_huge_listings_refused_before_any_work(monkeypatch, capsys):
                  ["matrices"]):
         assert run_cli(*argv, "-p", str(p)) == (1, "")
         assert "refused" in capsys.readouterr().err
+    # A ratio list past the same bound: --kmax refused before classifying.
+    assert run_cli("classify", "--seq", "fibonacci", "-p", "2", "--kmax", "200001") == (1, "")
+    assert capsys.readouterr().err == ("error: ratio list refused: 200001 entries exceed "
+                                       "the limit of 200000\n")
 
 
 def test_classify_large_prime():
