@@ -271,8 +271,8 @@ def _stored_levels(spec: seqcore.FileBackedSpec, p: int) -> list[int]:
 
 
 def _lucas_valuation(spec: seqcore.LucasSpec, n: int, p: int) -> int:
-    """v_p(U_n) from U_n mod p^B, B = 2, 4, 8, ... until it is nonzero, as
-    it becomes because a LucasSpec has no zero term."""
+    """v_p(U_n) from U_n mod p^B for B = 2, 4, 8, ... up to the first
+    nonzero residue, which exists as a LucasSpec has no zero term."""
     B = 2
     while (r := seqcore._lucas_jump(spec, n, p ** B)[0]) == 0:
         B *= 2
@@ -346,8 +346,8 @@ def classify(spec: SequenceSpec, p: int, *, kmax: int | None = None) -> PrimePro
     s_cand = 1
     exhausted = False
     cap = kmax if kmax is not None else DEFAULT_KMAX_CAP
-    # Every ratio of a Lucas sequence is computable, and by the law of
-    # repetition the ratios reach p, so a chain still ending in a deviation
+    # Every level of a Lucas sequence is computable, and by the law of
+    # repetition its ratios reach p, so a chain still ending in a deviation
     # at the cap is extended instead of being called unacceptable.
     computable = not isinstance(spec, seqcore.FileBackedSpec)
     while len(ratios) < cap or (computable and len(ratios) == s_cand):

@@ -234,7 +234,8 @@ def test_classify_kmax_validation(fib, naturals):
     # The ratios come cheap, so a kmax past the listing bound would fill
     # memory: it is refused before any work.
     assert classify(fib, 2, kmax=MAX_ENTRIES).evidence_kmax == MAX_ENTRIES
-    with pytest.raises(WorkLimitError, match=f"{MAX_ENTRIES + 1} entries exceed the limit of {MAX_ENTRIES}$"):
+    with pytest.raises(WorkLimitError,
+                       match=f"{MAX_ENTRIES + 1} entries exceed the limit of {MAX_ENTRIES}$"):
         classify(fib, 2, kmax=MAX_ENTRIES + 1)
     # p itself is validated too: a composite p is refused, not classified.
     for spec in (fib, naturals):
