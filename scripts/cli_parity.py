@@ -62,6 +62,12 @@ ARGVS = [
     ["classify", "--seq", "lucas:1,-250000000000000000000000000014",
      "-p", "1000000000000000000000000000057"],
     ["verify", "--seq", "lucas:7,1", "-p", "2", "-k", "3", "--n-max", "100"],
+    # Between them these build every record: both specs, a profile, answers,
+    # vectors, matrices and a linear representation.
+    ["export", *FIB, "-k", "3"],
+    ["vectors", "--seq", "lucas:5,-2", "-p", "7", "-k", "3", "--format", "json"],
+    ["matrices", "-p", "5", "-k", "3", "--format", "json"],
+    ["eval", "--seq", EDS150, "-p", "2", "-k", "3", "-n", "1000", "--format", "json"],
     # Sweeps refused before any work: k * n_max^2 over the bound.
     ["verify", *FIB, "-k", "3", "--n-max", "1000000"],
     ["verify", *FIB, "-k", "2", "--n-max", "7072"],

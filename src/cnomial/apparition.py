@@ -29,7 +29,7 @@ from math import isqrt
 from operator import floordiv, mul
 
 from . import seqcore
-from .record import Record, _set
+from .record import Record
 from .seqcore import SequenceSpec
 
 # Ratios confirmed equal to p past the last deviation before classification
@@ -74,15 +74,6 @@ class PrimeProfile(Record):
     s: int | None
     ratios: tuple[int, ...]
     evidence_kmax: int
-
-    def __init__(self, p: int, prime_class: PrimeClass, alpha_powers: tuple[int, ...],
-                 s: int | None, ratios: tuple[int, ...], evidence_kmax: int):
-        _set(self, "p", p)
-        _set(self, "prime_class", prime_class)
-        _set(self, "alpha_powers", alpha_powers)
-        _set(self, "s", s)
-        _set(self, "ratios", ratios)
-        _set(self, "evidence_kmax", evidence_kmax)
 
     @property
     def stable_modulus(self) -> int:

@@ -29,9 +29,9 @@ from math import comb, prod
 
 from . import initvec
 from .apparition import PrimeClass, PrimeProfile, _stored_levels
-from .polyarith import (PolyMatrix, PolyVector, ValPoly, mat_vec_mul, row_vec_mul,
-                        slot_width, slots)
-from .record import Record, _set
+from .polyarith import (PolyMatrix, PolyVector, ValPoly, answer_width, mat_vec_mul,
+                        row_vec_mul, slots)
+from .record import Record
 from .seqcore import InsufficientTermsError, SequenceSpec, check_entries
 from .transfer import digit_counts, digit_matrices
 
@@ -68,12 +68,6 @@ class QueryResult(Record):
     path: EvalPath
     decomposition: tuple[int, int, int, tuple[int, ...]]
 
-    def __init__(self, polynomial: ValPoly, path: EvalPath,
-                 decomposition: tuple[int, int, int, tuple[int, ...]]):
-        _set(self, "polynomial", polynomial)
-        _set(self, "path", path)
-        _set(self, "decomposition", decomposition)
-
 
 def base_digits(n: int, p: int) -> list[int]:
     """Base-p digits of n, least significant first; n = 0 gives []."""
@@ -95,13 +89,6 @@ def unit_column(k: int) -> PolyVector:
 
 # The packed kernel.  A polynomial is one integer holding the coefficient
 # of x^i in bits [i*width, (i+1)*width) (Kronecker substitution).
-
-def _width(k: int, top: int) -> int:
-    """Packing is evaluation at x = 2^width, a ring homomorphism, so only
-    the answer at n <= top must fit, and its nonnegative coefficients sum to
-    C(n+k-1, k-1); a column entry that overflows a slot is harmless."""
-    return slot_width(comb(top + k - 1, k - 1))
-
 
 def _step(rows: tuple[tuple[int, ...], ...], column: list[int], shifts: list[int]) -> list[int]:
     """M(d) * column, where rows are ``digit_counts(p, k, d)``: each c * column[mu]
@@ -193,8 +180,10 @@ def _check(coefficients: dict[int, int], k: int, n: int, carry_free: int) -> Non
 def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last: int,
              name: str) -> Iterator[tuple[int, dict[int, int], tuple]]:
     """The checked answers at n = first, ..., last in turn, each as its
-    packed integer at the slot width ``_width(k, last)``, its ``slots`` and
-    its decomposition; ``name`` names ``last`` in its error.  Reading q's
+    packed integer at the slot width ``answer_width(k, last)``, its ``slots``
+    and its decomposition; ``name`` names ``last`` in its error.  Packing is
+    evaluation at x = 2^width, a ring homomorphism, so only the answers must
+    fit; a column entry that overflows a slot is harmless.  Reading q's
     digits least significant first, v(q) = M(q mod p) * v(q // p) with
     v(0) = e^T, so q's column is one ``_step`` from its parent's once an
     earlier n built that, and otherwise ``_column``'s fold over q's digits
@@ -205,7 +194,7 @@ def _answers(spec: SequenceSpec, profile: PrimeProfile, k: int, first: int, last
     if last < 0:
         raise ValueError(f"{name} must be >= 0, got {last}")
     levels, modulus, tail, bound = _chain(spec, profile)
-    width = _width(k, last)
+    width = answer_width(k, last)
     shifts = [row * width for row in range(k)]
     columns: dict[int, tuple[tuple[int, ...], list[int]]] = {}     # q -> (digits, column)
     rows: dict[int, tuple[list[tuple[int, int, int]], int]] = {}   # r -> (terms, carry-free)
@@ -269,15 +258,6 @@ class LinearRepresentation(Record):
     residue_vectors: dict[int, PolyVector]
     digit_matrices: dict[int, PolyMatrix]
     final_vector: PolyVector
-
-    def __init__(self, p: int, k: int, modulus: int, residue_vectors: dict[int, PolyVector],
-                 digit_matrices: dict[int, PolyMatrix], final_vector: PolyVector):
-        _set(self, "p", p)
-        _set(self, "k", k)
-        _set(self, "modulus", modulus)
-        _set(self, "residue_vectors", residue_vectors)
-        _set(self, "digit_matrices", digit_matrices)
-        _set(self, "final_vector", final_vector)
 
     def evaluate(self, n: int, r: int) -> ValPoly:
         """The polynomial for index modulus*n + r."""

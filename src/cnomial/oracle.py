@@ -35,7 +35,7 @@ from operator import mul
 
 from . import apparition, seqcore
 from .apparition import StrongDivisibilityError
-from .polyarith import ValPoly, slot_width, unpack
+from .polyarith import ValPoly, answer_width, unpack
 from .seqcore import SequenceSpec, WorkLimitError
 
 MAX_TUPLES = 10 ** 7
@@ -192,7 +192,7 @@ def _sweep(spec: SequenceSpec, p: int, k: int, n_max: int) -> tuple[int, Iterato
     for n in range(1, n_max + 1):
         levels += [n] * (table[n] - table[n - 1] - len(levels))
     top = sum(min(k - 1 - (k - 1) // a, n_max // a) for a in levels)
-    width = slot_width(comb(n_max + k - 1, k - 1))
+    width = answer_width(k, n_max)
     bits = (n_max + 1) * (len(levels) + top + 1) * width
     if bits > MAX_SWEEP_BITS:
         raise WorkLimitError(
@@ -215,7 +215,7 @@ def _power(table: list[int], k: int, width: int, jump: int, top: int) -> Iterato
     band ``last``.  The bounds, for a chain table with J levels a <= last
     (repeats included):
 
-    * w = ``width`` = ``slot_width(C(last+k-1, k-1))``: a coefficient of A^j
+    * w = ``width`` = ``answer_width(k, last)``: a coefficient of A^j
       at z^n, j <= k, counts some of the C(n+j-1, j-1) compositions of n.
     * V = ``top`` = sum over levels of min(k - ceil(k/a), floor(last/a)):
       per level a valuation gains floor(n/a) - sum floor(m_i/a), the

@@ -14,7 +14,9 @@ freely, as the memoized digit matrices are.
 
 from __future__ import annotations
 
-from .record import Record, _set
+from math import comb
+
+from .record import Record
 
 ROW = "row"
 COLUMN = "column"
@@ -148,8 +150,7 @@ class PolyVector(Record):
             raise ValueError(f"orientation must be {ROW!r} or {COLUMN!r}")
         if not entries:
             raise ValueError("vector must have at least one entry")
-        _set(self, "entries", entries)
-        _set(self, "orientation", orientation)
+        super().__init__(entries, orientation)
 
     @classmethod
     def row(cls, *entries: ValPoly) -> "PolyVector":
@@ -174,7 +175,7 @@ class PolyMatrix(Record):
         k = len(entries)
         if k == 0 or any(len(row) != k for row in entries):
             raise ValueError("matrix entries must form a nonempty square grid")
-        _set(self, "entries", entries)
+        super().__init__(entries)
 
     @property
     def dim(self) -> int:
@@ -185,6 +186,12 @@ def slot_width(bound: int) -> int:
     """Bits per slot of a packed polynomial whose coefficients are all at
     most ``bound``: its bit length, rounded up to whole bytes."""
     return -(-bound.bit_length() // 8) * 8
+
+
+def answer_width(k: int, top: int) -> int:
+    """The slot width of the answers P_k(n) at n <= top, engine's and oracle's
+    alike: their nonnegative coefficients sum to C(n+k-1, k-1)."""
+    return slot_width(comb(top + k - 1, k - 1))
 
 
 def slots(packed: int, width: int) -> dict[int, int]:

@@ -1,9 +1,12 @@
 """Immutable value records.
 
-A record class lists its fields, in order, as ``__slots__`` and sets them
-in its own ``__init__`` through ``_set``.  It then compares equal only to a
-record of the same class with equal fields, hashes as its field tuple,
-prints as ``Name(field=value, ...)`` and refuses assignment and deletion.
+A record class declares its fields once, in order, as annotated
+``__slots__``; ``Record.__init__`` binds them from positional or keyword
+arguments, each given once, as ``def __init__(self, field_1, ...)`` would.
+A record that validates checks its arguments, then passes them on.  It
+compares equal only to a record of the same class with equal fields, hashes
+as its field tuple, prints as ``Name(field=value, ...)`` and refuses
+assignment and deletion.
 """
 
 _set = object.__setattr__
@@ -11,6 +14,18 @@ _set = object.__setattr__
 
 class Record:
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        rest = fields[len(args):]
+        # At equal counts an unknown or repeated keyword leaves a field of rest out.
+        if len(args) + len(kwargs) != len(fields) or not all(f in kwargs for f in rest):
+            raise TypeError(f"{type(self).__qualname__}() takes {', '.join(fields)} once each, "
+                            f"got {len(args)} positional and keywords {sorted(kwargs)}")
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        for field in rest:
+            _set(self, field, kwargs[field])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])

@@ -14,7 +14,7 @@ import os
 from collections.abc import Iterator
 from itertools import islice
 
-from .record import Record, _set
+from .record import Record
 
 
 class InsufficientTermsError(Exception):
@@ -57,8 +57,7 @@ class LucasSpec(Record):
                 f"Lucas({P},{Q}): gcd(U_2, U_3) = "
                 f"{math.gcd(abs(u2), abs(u3))} != 1, not a strong divisibility sequence"
             )
-        _set(self, "P", P)
-        _set(self, "Q", Q)
+        super().__init__(P, Q)
 
     @property
     def selector(self) -> str:
@@ -78,8 +77,7 @@ class FileBackedSpec(Record):
         for i, t in enumerate(terms, start=1):
             if t == 0:
                 raise ValueError(f"term C_{i} is zero; terms must be nonzero integers")
-        _set(self, "terms", terms)
-        _set(self, "name", name)
+        super().__init__(terms, name)
 
     @property
     def selector(self) -> str:

@@ -16,7 +16,8 @@ from cnomial.engine import (
     linear_representation,
     unit_column,
 )
-from cnomial.polyarith import PolyVector, ValPoly, mat_vec_mul, slot_width, unpack
+from cnomial.polyarith import (PolyVector, ValPoly, answer_width, mat_vec_mul, slot_width,
+                               unpack)
 from cnomial.seqcore import InsufficientTermsError, LucasSpec
 from cnomial.transfer import digit_matrices, multinomial_matrix
 
@@ -411,7 +412,7 @@ def test_engine_and_oracle_pack_at_one_width(eds150, drawn, k, n_max):
     spec = eds150 if params is None else LucasSpec(*params)
     prof = classify(spec, p)
     width, bands = oracle._sweep(spec, p, k, n_max)
-    assert width == engine._width(k, n_max)
+    assert width == answer_width(k, n_max)
     answers = [packed for packed, _, _ in engine._answers(spec, prof, k, 0, n_max, "n_max")]
     assert [unpack(a, width) for a in answers] == [
         res.polynomial for res in engine.eval_sweep(spec, prof, k, n_max)]
@@ -430,6 +431,20 @@ def test_normalization_failure_is_typed(lucas52, monkeypatch):
     with pytest.raises(NormalizationError, match="normalization broken"):
         eval_generating_poly(lucas52, classify(lucas52, 7), 2, 12)
     assert issubclass(NormalizationError, ArithmeticError)
+
+
+@pytest.mark.parametrize("corrupt, check", [
+    (lambda column, width: [0, *column[1:]], "coefficients sum to"),
+    (lambda column, width: [v << width for v in column], "the constant term is 0,"),
+])
+def test_checks_catch_a_deficit(lucas52, monkeypatch, corrupt, check):
+    # A column that loses an entry makes the coefficient sum too small; one
+    # multiplied by x keeps the sum and makes the constant term too small.
+    real = engine._column
+    monkeypatch.setattr(engine, "_column", lambda p, k, digits, width:
+                        corrupt(real(p, k, digits, width), width))
+    with pytest.raises(NormalizationError, match=f"normalization broken: {check}"):
+        eval_generating_poly(lucas52, classify(lucas52, 7), 2, 12)
 
 
 def test_indices_below_the_modulus(fib, lucas52, naturals, eds150):

@@ -106,6 +106,27 @@ def test_keyword_and_default_construction():
         is EvalPath.TRIVIAL
 
 
+@pytest.mark.parametrize("index", range(len(FIELDS)))
+def test_constructor_takes_each_field_once(index):
+    # Every record binds its fields as def __init__(self, field_1, ..., field_n) would.
+    record, fields = make_all()[index], FIELDS[index]
+    cls, values = type(record), [getattr(record, f) for f in fields]
+    named = dict(zip(fields, values))
+    assert cls(*values) == cls(**named) == cls(values[0], **dict(zip(fields[1:], values[1:])))
+    assert cls(*values) == record
+    wrong = [
+        lambda: cls(*values, values[0]),                  # too many
+        lambda: cls(*values[:-1], extra=values[-1]),      # unknown
+        lambda: cls(values[0], **named),                  # repeated
+        lambda: cls(**dict(zip(fields[1:], values[1:]))),  # missing
+    ]
+    if len(fields) > 1:     # repeated with the right count, the last field missing
+        wrong.append(lambda: cls(values[0], **dict(zip(fields[:-1], values[:-1]))))
+    for build in wrong:
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_copy_and_pickle_keep_the_value():
     for x in make_all():
         assert copy.copy(x) == x
