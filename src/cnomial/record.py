@@ -17,15 +17,15 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
-        rest = fields[len(args):]
-        # At equal counts an unknown or repeated keyword leaves a field of rest out.
-        if len(args) + len(kwargs) != len(fields) or not all(f in kwargs for f in rest):
-            raise TypeError(f"{type(self).__qualname__}() takes {', '.join(fields)} once each, "
-                            f"got {len(args)} positional and keywords {sorted(kwargs)}")
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            # At equal counts an unknown or repeated keyword leaves a field of rest out.
+            if len(args) + len(kwargs) != len(fields) or not all(map(kwargs.__contains__, rest)):
+                raise TypeError(f"{type(self).__qualname__}() takes {', '.join(fields)} once "
+                                f"each, got {len(args)} positional and keywords {sorted(kwargs)}")
+            args += tuple(map(kwargs.__getitem__, rest))
         for field, value in zip(fields, args):
             _set(self, field, value)
-        for field in rest:
-            _set(self, field, kwargs[field])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self.__slots__])

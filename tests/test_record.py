@@ -1,5 +1,5 @@
-"""Value semantics of the seven immutable records: equality, hashing, text
-form, immutability and validation."""
+"""Value semantics of the seven immutable records: construction, equality,
+hashing, text form, immutability and validation."""
 
 import copy
 import pickle
