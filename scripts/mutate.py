@@ -1,14 +1,15 @@
 """Run the tier-1 test suite against fixed one-edit mutants of ``src/``.
 
-    python3 scripts/mutate.py [--timeout SECONDS] [NAME ...]
+    python3 scripts/mutate.py
 
 Each mutant in ``MUTANTS`` replaces one exact piece of text, which must
 occur once in its file, with another.  The checkout, without ``.git``, is
-copied once into a temporary directory; for each mutant (or each one
-NAMEd) the edit is applied there and the tier-1 command
+copied once into a temporary directory; for each mutant in turn the edit
+is applied there and the tier-1 command
 ``python -m pytest -q -x --continue-on-collection-errors`` runs with that
-copy's ``src`` on PYTHONPATH, then the file is restored.  A failing or
-timed-out run kills the mutant; a passing one lets it survive.  The
+copy's ``src`` on PYTHONPATH, then the file is restored.  A failing run,
+or one still going after ``TIMEOUT`` seconds, kills the mutant; a passing
+one lets it survive.  The
 checkout itself is never edited, and neither are its tests or checks.
 
 The exit code is 1 if a mutant survives that is not listed as equivalent,
@@ -16,7 +17,6 @@ or a mutant listed as equivalent is killed (then a test pins more than the
 answers), 2 if a mutant's text is not found exactly once, else 0.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIMEOUT = 60  # seconds per suite run; the unmutated suite takes about 13 s
 
 
 class Mutant(NamedTuple):
@@ -96,12 +97,12 @@ MUTANTS = [
 ]
 
 
-def run_suite(copy: str, timeout: float) -> tuple[str, float]:
+def run_suite(copy: str) -> tuple[str, float]:
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
         proc = subprocess.run([sys.executable, *TIER1], cwd=copy, env=env,
-                              capture_output=True, timeout=timeout)
+                              capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         outcome = "killed (timeout)"
     else:
@@ -112,17 +113,7 @@ def run_suite(copy: str, timeout: float) -> tuple[str, float]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("names", nargs="*", help="run only these mutants")
-    ap.add_argument("--timeout", type=float, default=60.0,
-                    help="seconds per suite run (default 60)")
-    args = ap.parse_args()
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        ap.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-
-    for m in chosen:
+    for m in MUTANTS:
         with open(os.path.join(ROOT, m.path), encoding="utf-8") as f:
             found = f.read().count(m.old)
         if found != 1:
@@ -134,14 +125,14 @@ def main() -> int:
         copy = os.path.join(tmp, "tree")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_out"))
-        for m in chosen:
+        for m in MUTANTS:
             target = os.path.join(copy, m.path)
             with open(target, encoding="utf-8") as f:
                 original = f.read()
             with open(target, "w", encoding="utf-8") as f:
                 f.write(original.replace(m.old, m.new))
             try:
-                outcome, seconds = run_suite(copy, args.timeout)
+                outcome, seconds = run_suite(copy)
             finally:
                 with open(target, "w", encoding="utf-8") as f:
                     f.write(original)
@@ -151,7 +142,7 @@ def main() -> int:
                 bad += 1
                 note += "  <- unexpected"
             print(f"{outcome:<16} {seconds:6.1f} s  {m.name}: {m.why}{note}", flush=True)
-    print(f"{len(chosen)} mutants: {killed} killed, {len(chosen) - killed} survived, "
+    print(f"{len(MUTANTS)} mutants: {killed} killed, {len(MUTANTS) - killed} survived, "
           f"{bad} unexpected")
     return 1 if bad else 0
 
